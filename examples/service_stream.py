@@ -7,10 +7,8 @@ walkthrough runs the whole ``repro.service`` stack against an
 in-process server:
 
 1. start a ``ServiceServer`` (2 share-nothing shards, checkpoint spool)
-   on a loopback port — on the ``async`` wire backend, the selectors
-   event loop that multiplexes every connection on one thread
-   (``repro serve --backend async``; ``thread`` is the classic
-   thread-per-connection front end, and both speak identical bytes);
+   on a loopback port — its selectors event loop multiplexes every
+   connection on one thread;
 2. stream a violating workload through the client SDK in small
    batches, watching findings arrive at FLUSH barriers while the
    stream is still running;
@@ -45,10 +43,8 @@ def stream_with_recovery(spool: str) -> dict:
     half = len(events) // 2
 
     # -- first server incarnation: stream half, checkpoint, "crash" ----
-    # backend="async" == `repro serve --backend async`: one selectors
-    # loop serves every connection; "thread" would behave identically.
-    server = ServiceServer(shards=2, spool=spool, backend="async").start()
-    print(f"server 1 listening on {server.address} (async backend)")
+    server = ServiceServer(shards=2, spool=spool).start()
+    print(f"server 1 listening on {server.address}")
     with ServiceClient(server.host, server.port) as client:
         handle = client.open_session(
             ANALYSES, name=spec.name, session_id="demo", encoding="delta"
@@ -63,7 +59,7 @@ def stream_with_recovery(spool: str) -> dict:
     print("server 1 gone (mid-stream)")
 
     # -- second incarnation: recover from the spool, resume, finish ----
-    server = ServiceServer(shards=2, spool=spool, backend="async").start()
+    server = ServiceServer(shards=2, spool=spool).start()
     print(f"server 2 recovered sessions: {server.recovered}")
     with ServiceClient(server.host, server.port) as client:
         handle = client.open_session(

@@ -72,10 +72,6 @@ PARALLEL_EXTRAS = ("doublechecker", "atomizer", "races", "lockset", "profile")
 #: Schema tag stamped into every report.
 SCHEMA = "repro-bench/5"
 
-#: Server front ends the service block measures (same wire, same
-#: router; one handler thread per connection vs one selectors loop).
-SERVICE_BACKENDS = ("thread", "async")
-
 #: Analyses streamed in the service benchmark block.
 SERVICE_ANALYSES = ("aerodrome", "races", "lockset")
 
@@ -371,17 +367,14 @@ def bench_service(
     sessions: Iterable[int] = SERVICE_SESSIONS,
     batch: int = 512,
     shards: int = 2,
-    backends: Iterable[str] = SERVICE_BACKENDS,
 ) -> Dict:
     """Streamed-vs-offline throughput + agreement for the service.
 
-    For each connection **backend** (one handler thread per connection
-    vs the single-threaded selectors event loop) this starts an
-    in-process ``repro serve`` (thread shards, loopback TCP), then for
-    each concurrency level streams the workload through that many
-    simultaneous sessions and compares every returned
+    This starts an in-process ``repro serve`` (thread shards, loopback
+    TCP), then for each concurrency level streams the workload through
+    that many simultaneous sessions and compares every returned
     ``repro-report/1`` document against the offline ``Session.run()``
-    on the same trace. The per-backend ``agree`` flags are the
+    on the same trace. The per-row ``agree`` flags are the
     hardware-independent gate (``--check`` and CI fail on them); the
     events/sec columns only mean something on hardware with idle
     cores — same policy as the ``parallel`` block, recorded in the
@@ -393,7 +386,6 @@ def bench_service(
     from ..service.server import ServiceServer
 
     names = list(analyses)
-    backends = list(backends)
     events = list(trace.events)
     n = len(events)
 
@@ -410,52 +402,51 @@ def bench_service(
     }
 
     rows = []
-    for backend in backends:
-        with ServiceServer(shards=shards, backend=backend).start() as server:
-            for k in sessions:
-                docs: List[Optional[Dict]] = [None] * k
+    with ServiceServer(shards=shards).start() as server:
+        for k in sessions:
+            docs: List[Optional[Dict]] = [None] * k
 
-                def stream(slot: int) -> None:
-                    docs[slot] = submit_trace(
-                        server.host, server.port, events, names,
-                        name=f"{trace.name}#{slot}", batch=batch,
-                        encoding="delta",
-                    )
+            def stream(slot: int) -> None:
+                docs[slot] = submit_trace(
+                    server.host, server.port, events, names,
+                    name=f"{trace.name}#{slot}", batch=batch,
+                    encoding="delta",
+                )
 
-                start = time.perf_counter()
-                if k == 1:
-                    stream(0)
-                else:
-                    threads = [
-                        threading.Thread(target=stream, args=(slot,))
-                        for slot in range(k)
-                    ]
-                    for thread in threads:
-                        thread.start()
-                    for thread in threads:
-                        thread.join()
-                seconds = time.perf_counter() - start
-                agree = all(
-                    doc is not None and doc["analyses"] == offline_doc
-                    for doc in docs
-                )
-                rows.append(
-                    {
-                        "backend": backend,
-                        "sessions": k,
-                        "events": n * k,
-                        "seconds": seconds,
-                        "events_per_second": (n * k) / seconds
-                        if seconds > 0
-                        else math.inf,
-                        "agree": agree,
-                    }
-                )
+            start = time.perf_counter()
+            if k == 1:
+                stream(0)
+            else:
+                threads = [
+                    threading.Thread(target=stream, args=(slot,))
+                    for slot in range(k)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join()
+            seconds = time.perf_counter() - start
+            agree = all(
+                doc is not None and doc["analyses"] == offline_doc
+                for doc in docs
+            )
+            rows.append(
+                {
+                    "backend": "async",
+                    "sessions": k,
+                    "events": n * k,
+                    "seconds": seconds,
+                    "events_per_second": (n * k) / seconds
+                    if seconds > 0
+                    else math.inf,
+                    "agree": agree,
+                }
+            )
     return {
         "analyses": names,
         "batch": batch,
         "shards": shards,
-        "backends": list(backends),
+        "backends": ["async"],
         "workload": trace.name,
         "offline_eps": offline["eps"],
         "offline_seconds": offline["seconds"],
@@ -474,8 +465,8 @@ def bench_cluster(
 ) -> Dict:
     """Ring-routed streaming vs offline: 1-node vs N-node loopback.
 
-    For each ring size this forms an in-process cluster (thread
-    backend, loopback TCP, fast gossip), streams ``sessions``
+    For each ring size this forms an in-process cluster (loopback
+    TCP, fast gossip), streams ``sessions``
     ring-routed sessions through a :class:`~repro.cluster.ClusterClient`
     and compares every returned report against the offline
     ``Session.run()``. Same policy as the ``service`` block: the
@@ -503,7 +494,6 @@ def bench_cluster(
             for i in range(count):
                 kwargs: Dict = dict(
                     shards=shards,
-                    backend="thread",
                     node_id=f"bench-{i}",
                     gossip_interval=0.1,
                     suspect_after=1.0,

@@ -179,7 +179,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             checkpoint_every=args.checkpoint_every,
             queue_size=args.queue_size,
             read_timeout=args.read_timeout or None,
-            backend=args.backend,
             cluster=args.cluster,
             join=args.join or (),
             node_id=args.node_id,
@@ -498,7 +497,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         if args.seed is not None:
             plan.seed = args.seed
             plan.rng.seed(args.seed)
-        results.append(run_plan_drill(plan, backend=args.backend))
+        results.append(run_plan_drill(plan))
     if args.scenario:
         seed = args.seed if args.seed is not None else 7207
         names = (
@@ -512,7 +511,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 return 2
-            results.append(run_scenario(name, seed=seed, backend=args.backend))
+            results.append(run_scenario(name, seed=seed))
     if args.json:
         print(json.dumps([r.to_json() for r in results], indent=2))
     else:
@@ -558,9 +557,7 @@ def _cmd_chaos_cluster(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        results.append(
-            run_cluster_scenario(name, seed=seed, backend=args.backend)
-        )
+        results.append(run_cluster_scenario(name, seed=seed))
     if args.json:
         print(json.dumps([r.to_json() for r in results], indent=2))
     else:
@@ -989,14 +986,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--read-timeout", type=float, default=600.0, metavar="SECONDS",
         help="per-connection read timeout: a stalled client is dropped "
-        "with a typed ERROR instead of pinning a handler thread "
+        "with a typed ERROR instead of holding its connection open "
         "(0 disables)",
     )
+    # The selectors event loop is the only front end; the option stays
+    # so scripts that spell it out keep working.
     serve.add_argument(
-        "--backend", choices=("thread", "async"), default="thread",
-        help="connection front end: one handler thread per connection "
-        "(default) or a single-threaded selectors event loop that "
-        "holds thousands of idle sessions on one thread",
+        "--backend", choices=("async",), default="async",
+        help=argparse.SUPPRESS,
     )
     serve.add_argument(
         "--cluster", action="store_true",
@@ -1237,12 +1234,6 @@ def build_parser() -> argparse.ArgumentParser:
         "under simulated time with a seeded schedule of partitions, "
         "gossip chaos, gray failure and overload (same seed, same "
         "fault trace)",
-    )
-    chaos.add_argument(
-        "--backend", choices=("thread", "async"), default="thread",
-        help="server front end the drills stand up (the fault sites "
-        "live in the shared connection core, so the same seeded plan "
-        "exercises either backend unchanged)",
     )
     chaos.add_argument(
         "--json", action="store_true",

@@ -30,7 +30,7 @@ this node up (see :mod:`repro.cluster.migration`).
 All peer traffic happens on the coordinator's own thread — inbound
 frames (JOIN/RING/HANDOFF/OWNED) are handled by the ordinary
 connection state machine, which calls the thread-safe ``handle_*``
-methods here. The server backends never block on a peer.
+methods here. The server's event loop never blocks on a peer.
 
 Failure model: a ``kill -9`` of a node loses its live sessions and
 un-replicated tail, but every session checkpoint already shipped to a

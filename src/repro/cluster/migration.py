@@ -94,7 +94,7 @@ def node_call(
             sock.settimeout(timeout)
             sock.sendall(frame)
             with sock.makefile("rb") as rfile:
-                reply = protocol.read_frame(rfile)
+                reply = protocol.FrameStream(rfile).read_frame()
     except (OSError, protocol.WireError) as exc:
         raise HandoffError(f"peer {host}:{port}: {exc}") from exc
     if reply is None:

@@ -94,7 +94,6 @@ class NetSim:
             ``net.partition`` link-key components).
         seed: Seed for the cluster client's retry jitter (the fault
             plan carries its own).
-        backend: Server front end (``"thread"`` or ``"async"``).
         gossip_interval: Simulated seconds per round.
         suspect_after: Simulated seconds of silence before a death
             verdict (default: the coordinator's 4-interval rule).
@@ -107,7 +106,6 @@ class NetSim:
         self,
         nodes: int = SIM_NODES,
         seed: int = DEFAULT_SEED,
-        backend: str = "thread",
         gossip_interval: float = SIM_GOSSIP_INTERVAL,
         suspect_after: Optional[float] = None,
         tenant_quota: Optional[int] = None,
@@ -117,7 +115,6 @@ class NetSim:
             raise ValueError("a network simulation needs at least 2 nodes")
         self.order: List[str] = [f"n{i + 1}" for i in range(nodes)]
         self.seed = seed
-        self.backend = backend
         self.gossip_interval = gossip_interval
         self.suspect_after = (
             suspect_after if suspect_after is not None
@@ -157,7 +154,6 @@ class NetSim:
         for node_id in self.order:
             server = ServiceServer(
                 port=0,
-                backend=self.backend,
                 shards=self.shards,
                 spool=str(Path(self._root) / node_id),
                 checkpoint_every=4,
@@ -299,9 +295,7 @@ class NetSim:
 # -- the cluster drill matrix ------------------------------------------------
 
 
-def cluster_scenario_partition_two_way(
-    seed: int, backend: str = "thread"
-) -> ScenarioResult:
+def cluster_scenario_partition_two_way(seed: int) -> ScenarioResult:
     """A session's owner is fully partitioned mid-stream. The survivors
     declare it dead within the suspicion window and the replica
     successor adopts its checkpoint; the victim (its own epoch stuck)
@@ -313,7 +307,7 @@ def cluster_scenario_partition_two_way(
     events = list(spec.trace())
     checks = _Checks()
     plan = FaultPlan(seed=seed)
-    with NetSim(nodes=3, seed=seed, backend=backend) as sim:
+    with NetSim(nodes=3, seed=seed) as sim:
         checks.expect(sim.converge() >= 0, "ring converged after boot")
         session_id = "drill-net-two-way"
         sim.track(session_id)
@@ -353,13 +347,11 @@ def cluster_scenario_partition_two_way(
     return _result(
         "partition-two-way", seed, plan, "recovered", checks,
         "owner partitioned mid-stream; failover + heal kept one fenced "
-        "owner and the offline report", backend=backend,
+        "owner and the offline report",
     )
 
 
-def cluster_scenario_partition_one_way(
-    seed: int, backend: str = "thread"
-) -> ScenarioResult:
+def cluster_scenario_partition_one_way(seed: int) -> ScenarioResult:
     """An asymmetric cut: ``n1``'s messages to ``n3`` vanish while the
     reverse direction flows. Push-pull gossip absorbs it — ``n3``'s own
     contacts keep both views fresh — so nobody is declared dead, the
@@ -370,8 +362,7 @@ def cluster_scenario_partition_one_way(
     checks = _Checks()
     plan = FaultPlan(seed=seed)
     plan.add("net.partition", op="drop", times=None, match="n1->n3")
-    with NetSim(nodes=3, seed=seed, backend=backend,
-                suspect_after=2.0) as sim:
+    with NetSim(nodes=3, seed=seed, suspect_after=2.0) as sim:
         checks.expect(sim.converge() >= 0, "ring converged after boot")
         epoch_before = sim.servers["n1"].cluster.epoch
         session_id = "drill-net-one-way"
@@ -396,13 +387,11 @@ def cluster_scenario_partition_one_way(
     return _result(
         "partition-one-way", seed, plan, "recovered", checks,
         "asymmetric link cut absorbed by push-pull gossip; no false "
-        "death, offline-equal report", backend=backend,
+        "death, offline-equal report",
     )
 
 
-def cluster_scenario_gossip_chaos(
-    seed: int, backend: str = "thread"
-) -> ScenarioResult:
+def cluster_scenario_gossip_chaos(seed: int) -> ScenarioResult:
     """Seeded gossip weather: contacts are randomly delayed one round,
     reordered to the end of the round, or duplicated. Membership must
     ride it out without a single false death while a stream completes
@@ -415,8 +404,7 @@ def cluster_scenario_gossip_chaos(
     plan.add("cluster.gossip", op="delay", times=None, prob=0.25)
     plan.add("cluster.gossip", op="reorder", times=None, prob=0.25)
     plan.add("cluster.gossip", op="duplicate", times=None, prob=0.25)
-    with NetSim(nodes=3, seed=seed, backend=backend,
-                suspect_after=2.0) as sim:
+    with NetSim(nodes=3, seed=seed, suspect_after=2.0) as sim:
         checks.expect(sim.converge() >= 0, "ring converged after boot")
         epoch_before = sim.servers["n1"].cluster.epoch
         session_id = "drill-net-gossip"
@@ -441,13 +429,10 @@ def cluster_scenario_gossip_chaos(
     return _result(
         "gossip-chaos", seed, plan, "recovered", checks,
         "delayed/reordered/duplicated gossip absorbed; no false death",
-        backend=backend,
     )
 
 
-def cluster_scenario_gray_failure(
-    seed: int, backend: str = "thread"
-) -> ScenarioResult:
+def cluster_scenario_gray_failure(seed: int) -> ScenarioResult:
     """A gray-failing node: alive and gossiping, but its measured RTTs
     are pathological. The suspicion score's RTT term hands it off well
     before the pure-silence deadline would; after the weather clears,
@@ -464,8 +449,7 @@ def cluster_scenario_gray_failure(
     # victim's own inbound gossip still refreshes the survivors' view
     # of it — it is alive and talking, just (as modeled below) slow.
     plan.add("cluster.gossip", op="drop", times=None, match=victim)
-    with NetSim(nodes=3, seed=seed, backend=backend,
-                suspect_after=2.0) as sim:
+    with NetSim(nodes=3, seed=seed, suspect_after=2.0) as sim:
         checks.expect(sim.converge() >= 0, "ring converged after boot")
         rounds_to_death = None
         with injected(plan):
@@ -511,13 +495,11 @@ def cluster_scenario_gray_failure(
     return _result(
         "gray-failure", seed, plan, "recovered", checks,
         "slow-but-alive node handed off by RTT suspicion before the "
-        "silence deadline; re-converged after", backend=backend,
+        "silence deadline; re-converged after",
     )
 
 
-def cluster_scenario_overload_shed(
-    seed: int, backend: str = "thread"
-) -> ScenarioResult:
+def cluster_scenario_overload_shed(seed: int) -> ScenarioResult:
     """A tenant over its inflight quota is shed with a paced ``BUSY``
     (``retry_ms`` hint, ``shed`` marker, counted in stats) — and the
     stream still completes to the offline report once the pressure
@@ -530,8 +512,7 @@ def cluster_scenario_overload_shed(
     checks = _Checks()
     plan = FaultPlan(seed=seed)  # no faults: the overload is organic
     quota = 2
-    with NetSim(nodes=2, seed=seed, backend=backend,
-                tenant_quota=quota) as sim:
+    with NetSim(nodes=2, seed=seed, tenant_quota=quota) as sim:
         checks.expect(sim.converge() >= 0, "ring converged after boot")
         session_id = "drill-net-shed"
         sim.track(session_id)
@@ -580,7 +561,7 @@ def cluster_scenario_overload_shed(
     return _result(
         "overload-shed", seed, plan, "recovered", checks,
         "over-quota tenant shed with a paced BUSY; stream completed "
-        "once the pressure cleared", backend=backend,
+        "once the pressure cleared",
     )
 
 
@@ -593,18 +574,11 @@ CLUSTER_SCENARIOS = {
 }
 
 
-def run_cluster_scenario(
-    name: str, seed: int = DEFAULT_SEED, backend: str = "thread"
-) -> ScenarioResult:
+def run_cluster_scenario(name: str, seed: int = DEFAULT_SEED) -> ScenarioResult:
     """Run one named cluster drill (``KeyError`` on an unknown name)."""
-    return CLUSTER_SCENARIOS[name](seed, backend=backend)
+    return CLUSTER_SCENARIOS[name](seed)
 
 
-def run_cluster_all(
-    seed: int = DEFAULT_SEED, backend: str = "thread"
-) -> List[ScenarioResult]:
+def run_cluster_all(seed: int = DEFAULT_SEED) -> List[ScenarioResult]:
     """Run the whole cluster matrix, in a stable order."""
-    return [
-        CLUSTER_SCENARIOS[name](seed, backend=backend)
-        for name in CLUSTER_SCENARIOS
-    ]
+    return [CLUSTER_SCENARIOS[name](seed) for name in CLUSTER_SCENARIOS]

@@ -54,14 +54,11 @@ class ScenarioResult:
     checks: List[str] = field(default_factory=list)
     #: The plan's injection log: ``[site, op, key]`` per fired fault.
     injected: List[List[Optional[str]]] = field(default_factory=list)
-    #: Which server front end the drill ran against.
-    backend: str = "thread"
 
     def to_json(self) -> Dict[str, Any]:
         return {
             "scenario": self.name,
             "seed": self.seed,
-            "backend": self.backend,
             "outcome": self.outcome,
             "ok": self.ok,
             "detail": self.detail,
@@ -106,8 +103,7 @@ def _agrees(checks: _Checks, doc: Dict[str, Any], base: Dict[str, Any],
 
 
 def _result(name: str, seed: int, plan: FaultPlan, outcome: str,
-            checks: _Checks, detail: str,
-            backend: str = "thread") -> ScenarioResult:
+            checks: _Checks, detail: str) -> ScenarioResult:
     return ScenarioResult(
         name=name,
         seed=seed,
@@ -116,14 +112,13 @@ def _result(name: str, seed: int, plan: FaultPlan, outcome: str,
         detail=detail,
         checks=checks.lines,
         injected=[list(entry) for entry in plan.log],
-        backend=backend,
     )
 
 
 # -- the matrix --------------------------------------------------------------
 
 
-def scenario_reset_mid_events(seed: int, backend: str = "thread") -> ScenarioResult:
+def scenario_reset_mid_events(seed: int) -> ScenarioResult:
     """The client's connection resets mid-stream; it reconnects with
     ``resume`` and re-sends from the server's position. Positioned
     frames make the overlap idempotent: the report equals offline."""
@@ -135,7 +130,7 @@ def scenario_reset_mid_events(seed: int, backend: str = "thread") -> ScenarioRes
     plan = FaultPlan(seed=seed)
     plan.add("wire.send", op="reset", after_n=2, times=1, match="drill-reset")
     with tempfile.TemporaryDirectory() as spool:
-        with ServiceServer(port=0, backend=backend, shards=2, spool=spool,
+        with ServiceServer(port=0, shards=2, spool=spool,
                            checkpoint_every=4).start() as server:
             with injected(plan):
                 doc = submit_trace(
@@ -146,10 +141,10 @@ def scenario_reset_mid_events(seed: int, backend: str = "thread") -> ScenarioRes
             checks.expect(len(plan.log) >= 1, "the reset actually fired")
             _agrees(checks, doc, base, "report after reconnect+resume")
     return _result("reset-mid-events", seed, plan, "recovered", checks,
-                   "connection reset healed by reconnect + positioned resume", backend=backend)
+                   "connection reset healed by reconnect + positioned resume")
 
 
-def scenario_shard_crash(seed: int, backend: str = "thread") -> ScenarioResult:
+def scenario_shard_crash(seed: int) -> ScenarioResult:
     """One shard worker dies mid-batch. The router restarts it from the
     checkpoint spool; the client's flush exposes the rollback and the
     positioned re-send closes the gap. The report equals offline, the
@@ -162,7 +157,7 @@ def scenario_shard_crash(seed: int, backend: str = "thread") -> ScenarioResult:
     plan = FaultPlan(seed=seed)
     plan.add("shard.batch", op="crash", after_n=2, times=1, match="drill-crash")
     with tempfile.TemporaryDirectory() as spool:
-        with ServiceServer(port=0, backend=backend, shards=2, spool=spool,
+        with ServiceServer(port=0, shards=2, spool=spool,
                            checkpoint_every=4).start() as server:
             with injected(plan):
                 doc = submit_trace(
@@ -183,10 +178,10 @@ def scenario_shard_crash(seed: int, backend: str = "thread") -> ScenarioResult:
             )
             _agrees(checks, sibling, base, "sibling session after the crash")
     return _result("shard-crash", seed, plan, "recovered", checks,
-                   "dead shard restarted from spool; gap re-sent; siblings fine", backend=backend)
+                   "dead shard restarted from spool; gap re-sent; siblings fine")
 
 
-def scenario_poison_analysis(seed: int, backend: str = "thread") -> ScenarioResult:
+def scenario_poison_analysis(seed: int) -> ScenarioResult:
     """One tenant's analysis raises mid-stream. That session is
     quarantined behind a typed ``analysis`` ERROR; its shard and a
     healthy sibling stream keep working. Documented degradation."""
@@ -199,7 +194,7 @@ def scenario_poison_analysis(seed: int, backend: str = "thread") -> ScenarioResu
     plan.add("analysis.step", op="raise", after_n=2, times=None,
              match="poisoned")
     detail = ""
-    with ServiceServer(port=0, backend=backend, shards=2).start() as server:
+    with ServiceServer(port=0, shards=2).start() as server:
         with injected(plan):
             try:
                 submit_trace(
@@ -226,10 +221,10 @@ def scenario_poison_analysis(seed: int, backend: str = "thread") -> ScenarioResu
         checks.expect(stats.get("sessions_quarantined", 0) == 1,
                       "stats count exactly one quarantined session")
     return _result("poison-analysis", seed, plan, "degraded", checks,
-                   detail or "poisoned session quarantined with a typed error", backend=backend)
+                   detail or "poisoned session quarantined with a typed error")
 
 
-def scenario_torn_checkpoint(seed: int, backend: str = "thread") -> ScenarioResult:
+def scenario_torn_checkpoint(seed: int) -> ScenarioResult:
     """The server dies mid-checkpoint (a torn spool write). On restart
     the torn entry is salvaged to ``*.bad`` — never deserialized — and
     re-submitting the stream from scratch yields the correct report.
@@ -243,7 +238,7 @@ def scenario_torn_checkpoint(seed: int, backend: str = "thread") -> ScenarioResu
     plan = FaultPlan(seed=seed)
     plan.add("spool.write", op="torn", times=None, match="drill-torn")
     with tempfile.TemporaryDirectory() as spool:
-        with ServiceServer(port=0, backend=backend, spool=spool) as server:
+        with ServiceServer(port=0, spool=spool) as server:
             server.start()
             with injected(plan):
                 info = submit_trace(
@@ -255,7 +250,7 @@ def scenario_torn_checkpoint(seed: int, backend: str = "thread") -> ScenarioResu
             checks.expect(info["open"], "first half streamed and checkpointed")
             checks.expect(len(plan.log) >= 1, "the torn write actually fired")
         # the "kill": the first server is gone; a new one reads the spool
-        with ServiceServer(port=0, backend=backend, spool=spool).start() as server:
+        with ServiceServer(port=0, spool=spool).start() as server:
             checks.expect(
                 any("drill-torn" in s["file"] for s in server.salvaged),
                 "restart salvaged the torn entry (never deserialized)",
@@ -268,10 +263,10 @@ def scenario_torn_checkpoint(seed: int, backend: str = "thread") -> ScenarioResu
             )
             _agrees(checks, doc, base, "full re-send after salvage")
     return _result("torn-checkpoint", seed, plan, "degraded", checks,
-                   "torn checkpoint quarantined to *.bad; full re-send correct", backend=backend)
+                   "torn checkpoint quarantined to *.bad; full re-send correct")
 
 
-def scenario_corrupt_spool(seed: int, backend: str = "thread") -> ScenarioResult:
+def scenario_corrupt_spool(seed: int) -> ScenarioResult:
     """One spooled checkpoint is corrupted at rest (a flipped byte).
     Restart recovery detects the CRC mismatch, quarantines that entry,
     and still recovers the healthy sibling, which resumes to a report
@@ -286,7 +281,7 @@ def scenario_corrupt_spool(seed: int, backend: str = "thread") -> ScenarioResult
     plan = FaultPlan(seed=seed)
     plan.add("spool.write", op="corrupt", times=None, match="drill-corrupt")
     with tempfile.TemporaryDirectory() as spool:
-        with ServiceServer(port=0, backend=backend, shards=2, spool=spool) as server:
+        with ServiceServer(port=0, shards=2, spool=spool) as server:
             server.start()
             with injected(plan):
                 for sid in ("drill-corrupt", "drill-healthy"):
@@ -298,7 +293,7 @@ def scenario_corrupt_spool(seed: int, backend: str = "thread") -> ScenarioResult
                     )
                     checks.expect(info["open"], f"{sid} checkpointed mid-stream")
             checks.expect(len(plan.log) >= 1, "the corruption actually fired")
-        with ServiceServer(port=0, backend=backend, shards=2, spool=spool).start() as server:
+        with ServiceServer(port=0, shards=2, spool=spool).start() as server:
             checks.expect(
                 any("drill-corrupt" in s["file"] for s in server.salvaged),
                 "the corrupt entry was salvaged, not deserialized",
@@ -312,10 +307,10 @@ def scenario_corrupt_spool(seed: int, backend: str = "thread") -> ScenarioResult
             )
             _agrees(checks, doc, base, "healthy sibling resumed to completion")
     return _result("corrupt-spool", seed, plan, "degraded", checks,
-                   "corrupt entry quarantined; healthy sibling recovered", backend=backend)
+                   "corrupt entry quarantined; healthy sibling recovered")
 
 
-def scenario_inbox_stall(seed: int, backend: str = "thread") -> ScenarioResult:
+def scenario_inbox_stall(seed: int) -> ScenarioResult:
     """A shard inbox stalls (backpressure): the server answers BUSY and
     the client's bounded jittered backoff rides it out. The report
     equals offline and the server counted its BUSY replies."""
@@ -326,7 +321,7 @@ def scenario_inbox_stall(seed: int, backend: str = "thread") -> ScenarioResult:
     checks = _Checks()
     plan = FaultPlan(seed=seed)
     plan.add("shard.inbox", op="stall", after_n=1, times=3, match="drill-stall")
-    with ServiceServer(port=0, backend=backend).start() as server:
+    with ServiceServer(port=0).start() as server:
         with injected(plan):
             doc = submit_trace(
                 server.host, server.port, list(spec.trace()), _ANALYSES,
@@ -341,7 +336,7 @@ def scenario_inbox_stall(seed: int, backend: str = "thread") -> ScenarioResult:
         checks.expect(stats.get("server", {}).get("busy_replies", 0) >= 3,
                       "the server counted its BUSY replies")
     return _result("inbox-stall", seed, plan, "recovered", checks,
-                   "backpressure absorbed by bounded jittered backoff", backend=backend)
+                   "backpressure absorbed by bounded jittered backoff")
 
 
 SCENARIOS: Dict[str, Callable[..., ScenarioResult]] = {
@@ -357,26 +352,17 @@ SCENARIOS: Dict[str, Callable[..., ScenarioResult]] = {
 DEFAULT_SEED = 7207
 
 
-def run_scenario(
-    name: str, seed: int = DEFAULT_SEED, backend: str = "thread"
-) -> ScenarioResult:
-    """Run one named drill (raises ``KeyError`` on an unknown name).
-
-    ``backend`` picks the server front end the drill stands up
-    (``"thread"`` or ``"async"``) — the fault sites live in the shared
-    connection core, so the same plan exercises either unchanged.
-    """
-    return SCENARIOS[name](seed, backend=backend)
+def run_scenario(name: str, seed: int = DEFAULT_SEED) -> ScenarioResult:
+    """Run one named drill (raises ``KeyError`` on an unknown name)."""
+    return SCENARIOS[name](seed)
 
 
-def run_all(
-    seed: int = DEFAULT_SEED, backend: str = "thread"
-) -> List[ScenarioResult]:
+def run_all(seed: int = DEFAULT_SEED) -> List[ScenarioResult]:
     """Run the whole matrix, in a stable order."""
-    return [SCENARIOS[name](seed, backend=backend) for name in SCENARIOS]
+    return [SCENARIOS[name](seed) for name in SCENARIOS]
 
 
-def run_plan_drill(plan: FaultPlan, backend: str = "thread") -> ScenarioResult:
+def run_plan_drill(plan: FaultPlan) -> ScenarioResult:
     """The generic drill behind ``repro chaos --plan``: stream one zoo
     trace through a spooled server with the given plan armed.
 
@@ -392,7 +378,7 @@ def run_plan_drill(plan: FaultPlan, backend: str = "thread") -> ScenarioResult:
     checks = _Checks()
     outcome, detail = "recovered", "report equals the offline run"
     with tempfile.TemporaryDirectory() as spool:
-        with ServiceServer(port=0, backend=backend, shards=2, spool=spool,
+        with ServiceServer(port=0, shards=2, spool=spool,
                            checkpoint_every=4).start() as server:
             with injected(plan):
                 try:
@@ -408,4 +394,4 @@ def run_plan_drill(plan: FaultPlan, backend: str = "thread") -> ScenarioResult:
                     checks.expect(bool(exc.code), "the error carries a code")
                 else:
                     _agrees(checks, doc, base, "report under the armed plan")
-    return _result("plan-drill", plan.seed, plan, outcome, checks, detail, backend=backend)
+    return _result("plan-drill", plan.seed, plan, outcome, checks, detail)

@@ -178,8 +178,8 @@ class MetricsRegistry:
 # --------------------------------------------------------------------------
 # The metric catalog: every series the Prometheus exposition may emit.
 # ``required`` metrics appear on every scrape of a healthy node; optional
-# ones depend on the backend (async-only gauges) or topology (cluster
-# block, per-tenant counts appear only once a tenant has violations).
+# ones depend on topology (cluster block, per-tenant counts appear only
+# once a tenant has violations).
 # --------------------------------------------------------------------------
 
 
@@ -244,20 +244,19 @@ METRICS_CATALOG: Tuple[MetricSpec, ...] = (
                "FENCED replies (stale membership epoch)", ("backend",)),
     MetricSpec("repro_server_shed_total", "counter",
                "BUSY replies flagged shed=true", ("backend",)),
-    # Async-backend-only gauges
+    # Event-loop gauges
     MetricSpec("repro_server_open_connections", "gauge",
-               "Currently open connections", ("backend",), required=False),
+               "Currently open connections", ("backend",)),
     MetricSpec("repro_server_connections_total", "counter",
-               "Connections accepted since start", ("backend",), required=False),
+               "Connections accepted since start", ("backend",)),
     MetricSpec("repro_server_ring_high_water", "gauge",
-               "Largest decode ring buffer seen", ("backend",), required=False),
+               "Largest decode ring buffer seen", ("backend",)),
     MetricSpec("repro_server_write_queue_depth", "gauge",
-               "Bytes queued for write across connections", ("backend",),
-               required=False),
+               "Bytes queued for write across connections", ("backend",)),
     MetricSpec("repro_server_write_queue_hwm", "gauge",
-               "Write queue high-water mark", ("backend",), required=False),
+               "Write queue high-water mark", ("backend",)),
     MetricSpec("repro_server_loop_lag_ms", "gauge",
-               "Event-loop lag of the last tick", ("backend",), required=False),
+               "Event-loop lag of the last tick", ("backend",)),
     # Cluster coordinator (labels: node) — present when clustering is on.
     MetricSpec("repro_cluster_epoch", "gauge",
                "Membership epoch", ("node",), required=False),
@@ -432,7 +431,7 @@ def stats_to_prom(stats: Mapping[str, Any]) -> str:
     w.sample("repro_router_uptime_seconds", stats.get("uptime_seconds"))
     server = stats.get("server")
     if isinstance(server, Mapping):
-        labels = {"backend": server.get("backend", "thread")}
+        labels = {"backend": server.get("backend", "async")}
         for key, metric in _SERVER_KEYS.items():
             if key in server:
                 w.sample(metric, server[key], labels)

@@ -205,7 +205,7 @@ class ServiceClient:
         self._sock.settimeout(timeout)
         self._rfile = self._sock.makefile("rb")
         # All reply reads go through the shared sans-IO codec — the
-        # same incremental decoder both server backends run.
+        # same incremental decoder the server's event loop runs.
         self._frames = protocol.FrameStream(self._rfile)
         self._fault_key: Optional[str] = None  # session id once bound
 

@@ -6,21 +6,18 @@ typed error-to-``ERROR``-frame mapping, and the ``wire.reply`` /
 ``server.events`` fault sites. It never touches a socket: bytes go in
 through :meth:`WireConnection.receive_bytes`, encoded reply frames
 come out through :attr:`WireConnection.outbox`, and shard replies are
-:class:`~repro.service.router._Future`\\ s the transport chooses how to
-wait on. That inversion is what lets the threaded backend (one blocked
-handler thread per connection) and the ``selectors`` event-loop backend
-(thousands of connections on one thread) — and the chaos drills on both
-— share every byte of protocol logic.
+:class:`~repro.service.router._Future`\\ s the transport waits on. That
+inversion is what lets the ``selectors`` event loop in
+:mod:`repro.service.server` hold thousands of connections on one
+thread, and lets tests drive the protocol without a socket.
 
-The driving contract, for either backend::
+The driving contract::
 
     wire.receive_bytes(chunk)          # as bytes arrive
     futures = wire.pump()              # advance the state machine
     # futures is None  -> idle: write wire.outbox, read more bytes
-    # futures is [...] -> a shard owes replies: block on them (thread
-    #                     backend) or subscribe a wakeup and keep
-    #                     serving other sockets (async backend), then
-    #                     pump() again
+    # futures is [...] -> a shard owes replies: subscribe a wakeup,
+    #                     keep serving other sockets, then pump() again
     # wire.reset             -> drop the socket, sending nothing
     # wire.close_after_send  -> close once outbox is flushed
 
@@ -57,7 +54,7 @@ class WireConnection:
     Args:
         router: The shard router commands are submitted to (always via
             the non-blocking ``submit_*`` surface — a full shard inbox
-            is an immediate ``BUSY`` frame on either backend).
+            is an immediate ``BUSY`` frame).
         count: ``count(name)`` server-counter hook (busy_replies,
             read_timeouts, wire_errors).
         counters: Zero-arg callable returning the server-level counter
@@ -170,14 +167,6 @@ class WireConnection:
             )
         else:
             self.close_after_send = True
-
-    def fail_pending(self, message: str) -> None:
-        """Give up on the in-flight command (reply deadline passed)."""
-        if self._pending is None:
-            return
-        self._pending = None
-        log.error("router error %s: %s", self._where(), message)
-        self._error("session", message)
 
     # -- protocol internals -------------------------------------------------
 
@@ -434,9 +423,7 @@ class WireConnection:
             action = fire("server.events", key=self.session_id)
             if action is not None and action.op == "duplicate":
                 # At-least-once delivery: the same decoded batch lands
-                # twice. Positioned batches are deduplicated by the
-                # session; unpositioned ones genuinely double (which is
-                # exactly the hazard positioned frames exist to remove).
+                # twice, and the session drops the positioned overlap.
                 router.feed(self.session_id, events, base=base)
             self._send(FrameType.OK, {"queued": queued})
         elif ftype == FrameType.FLUSH:

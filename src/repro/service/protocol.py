@@ -18,25 +18,24 @@ document), ``VIOLATION`` (new findings), ``ERROR``, ``BUSY``
 (backpressure: the session's shard queue is full, retry).
 
 All payloads are UTF-8 JSON except ``EVENTS``, whose payload is a
-1-byte encoding tag followed by the batch body:
+1-byte encoding tag, a 12-byte position header (``u64`` stream base
+position + ``u32`` CRC32 of the body), then the batch body:
 
-* tag ``0`` — **text**: newline-joined ``.std`` event lines, exactly
+* tag ``2`` — **text**: newline-joined ``.std`` event lines, exactly
   the :mod:`repro.trace.parser` grammar;
-* tag ``1`` — **packed delta**: the incremental form of
+* tag ``3`` — **packed delta**: the incremental form of
   :class:`~repro.trace.packed.PackedTrace` columns. A
   :class:`DeltaEncoder`/:class:`DeltaDecoder` pair mirrors the four
   interner namespaces (threads, variables, locks, labels); each frame
   ships only the names interned since the previous frame, then the
   batch's dense ``(thread, op, target)`` integer triples. Long streams
-  stop paying for strings almost immediately;
-* tags ``2``/``3`` — **positioned** text/delta: a 12-byte header
-  (``u64`` stream base position + ``u32`` CRC32 of the body) before
-  the same body as tags 0/1. The base makes at-least-once delivery
-  idempotent — a server that already ingested past ``base`` drops the
-  overlap instead of double-feeding — and the CRC turns any payload
-  corruption into a typed :class:`PayloadError` instead of silently
-  different events. The SDK always sends positioned frames; tags 0/1
-  stay accepted for bare-bones clients.
+  stop paying for strings almost immediately.
+
+The base makes at-least-once delivery idempotent — a server that
+already ingested past ``base`` drops the overlap instead of
+double-feeding — and the CRC turns any payload corruption into a typed
+:class:`PayloadError` instead of silently different events. Tags 0/1,
+the unpositioned forms of the same bodies, are rejected.
 
 Everything here is pure — no sockets, no sessions — and hardened the
 same way the binary trace reader is: any corrupt or truncated input
@@ -49,12 +48,9 @@ incremental decoder fed arbitrary byte chunks (it owns a compacting
 ring buffer of :class:`memoryview`-sliced bytes, so partial frames cost
 nothing and no per-frame ``bytes`` joins ever happen), and
 :class:`FrameEncoder` is its outbound twin. Neither knows what a socket
-is — the blocking shim :class:`FrameStream` (client SDK, threaded
-server backend) and the ``selectors`` event loop
-(:mod:`repro.service.server`'s async backend) both drive the same
-codec, which is what keeps the two I/O stacks byte-for-byte
-equivalent. The old blocking :func:`read_frame` survives as a
-deprecation shim over the decoder.
+is — the blocking shim :class:`FrameStream` (client SDK, cluster peer
+calls) and the server's ``selectors`` event loop both drive the same
+codec.
 """
 
 from __future__ import annotations
@@ -62,7 +58,6 @@ from __future__ import annotations
 import io
 import json
 import struct
-import warnings
 import zlib
 from enum import IntEnum
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
@@ -81,10 +76,8 @@ _HEADER = struct.Struct(">IB")  # frame length, frame type
 _U32 = struct.Struct("<I")
 _TRIPLE = struct.Struct("<IBi")  # thread index, op, target index
 
-#: Event-batch encoding tags (first payload byte of an EVENTS frame).
-TEXT_EVENTS = 0
-DELTA_EVENTS = 1
-#: Positioned variants: body prefixed with ``u64`` base + ``u32`` CRC32.
+#: Event-batch encoding tags (first payload byte of an EVENTS frame);
+#: the body is prefixed with ``u64`` base + ``u32`` CRC32.
 TEXT_EVENTS_POS = 2
 DELTA_EVENTS_POS = 3
 
@@ -212,9 +205,9 @@ class FrameDecoder:
     complete ``(type, payload)`` frames out with :meth:`next_frame` or
     by iterating. Partial frames simply stay buffered in the ring;
     corrupt framing raises :class:`FrameError` at the earliest byte
-    that proves the stream broken. No sockets, no blocking — both the
-    threaded and the ``selectors`` event-loop front ends drive this
-    same object, as does the fuzz suite.
+    that proves the stream broken. No sockets, no blocking — the
+    server's event loop, :class:`FrameStream` and the fuzz suite all
+    drive this same object.
     """
 
     __slots__ = ("_ring", "frames_decoded")
@@ -282,8 +275,8 @@ class FrameEncoder:
     """Outbound half of the codec: frames in, counted bytes out.
 
     Stateless apart from its counters (the wire format needs no
-    outbound state) — it exists so both server backends account their
-    reply traffic identically for ``service-stats``.
+    outbound state) — it accounts the server's reply traffic for
+    ``service-stats``.
     """
 
     __slots__ = ("frames_encoded", "bytes_encoded")
@@ -309,9 +302,8 @@ class FrameStream:
 
     Wraps a binary stream (a socket ``makefile`` or any object with
     ``read(n)``) and yields frames. This is the *one* blocking read
-    loop in the codebase — the client SDK and the threaded server
-    backend both use it, so there are no duplicated read/dispatch
-    loops to drift apart.
+    loop in the codebase — the client SDK and the cluster's peer calls
+    both use it, so there are no duplicated read loops to drift apart.
     """
 
     __slots__ = ("_stream", "_decoder")
@@ -364,43 +356,6 @@ def decode_frame(
     if len(data) < end:
         return None
     return ftype, bytes(data[offset + _HEADER.size : end]), end
-
-
-def read_frame(stream) -> Optional[Tuple[int, bytes]]:
-    """Deprecated: read one frame from a blocking binary stream.
-
-    A shim over :class:`FrameStream` kept for older callers; it reads
-    exactly one frame's bytes, so interleaving it with other reads on
-    the same stream still works. New code should hold a
-    :class:`FrameStream` (blocking) or drive a :class:`FrameDecoder`
-    (event loop) instead.
-
-    Returns ``(type, payload)``, or ``None`` on a clean EOF at a frame
-    boundary.
-
-    Raises:
-        FrameError: On EOF inside a frame, oversize, or unknown type.
-    """
-    warnings.warn(
-        "repro.service.protocol.read_frame is deprecated; use "
-        "FrameStream (blocking) or FrameDecoder (incremental) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    decoder = FrameDecoder()
-    header = stream.read(_HEADER.size)
-    if not header:
-        return None
-    decoder.feed(header)
-    if len(header) < _HEADER.size:
-        raise FrameError("truncated frame header")
-    need = decoder.needed()
-    if need:
-        payload = stream.read(need)
-        decoder.feed(payload)
-        if len(payload) < need:
-            raise FrameError("truncated frame payload")
-    return decoder.next_frame()
 
 
 # -- JSON payloads ----------------------------------------------------------
@@ -549,23 +504,18 @@ def decode_handoff(payload: bytes) -> Tuple[Dict[str, Any], bytes]:
 # -- EVENTS payloads --------------------------------------------------------
 
 
-def encode_events_text(
-    events: Iterable[Event], base: Optional[int] = None
-) -> bytes:
+def _positioned(tag: int, base: int, body: bytes) -> bytes:
+    return bytes([tag]) + _POS_HEADER.pack(base, zlib.crc32(body)) + body
+
+
+def encode_events_text(events: Iterable[Event], base: int) -> bytes:
     """An EVENTS payload in text encoding (``.std`` lines).
 
-    With ``base`` (the stream position of the batch's first event) the
-    positioned tag is used: the server can drop duplicate deliveries
-    and verify the body CRC.
+    ``base`` is the stream position of the batch's first event: the
+    server drops duplicate deliveries by it and verifies the body CRC.
     """
     body = "\n".join(str(event) for event in events).encode("utf-8")
-    if base is None:
-        return bytes([TEXT_EVENTS]) + body
-    return (
-        bytes([TEXT_EVENTS_POS])
-        + _POS_HEADER.pack(base, zlib.crc32(body))
-        + body
-    )
+    return _positioned(TEXT_EVENTS_POS, base, body)
 
 
 class DeltaEncoder:
@@ -587,9 +537,7 @@ class DeltaEncoder:
         self._by_ns = (self.variables, self.locks, self.threads, self.labels)
         self._sent = [0, 0, 0, 0]
 
-    def encode(
-        self, events: Iterable[Event], base: Optional[int] = None
-    ) -> bytes:
+    def encode(self, events: Iterable[Event], base: int) -> bytes:
         """One EVENTS payload (delta encoding) for this batch.
 
         Each namespace's name table is prefixed with its **base index**
@@ -597,9 +545,8 @@ class DeltaEncoder:
         retransmission-safe: a decoder that already absorbed a frame's
         names (say, before answering ``BUSY``) recognizes the resent
         base and skips the duplicates instead of shifting every later
-        index. With ``base`` (the batch's stream position) the
-        positioned tag adds event-level duplicate dropping and a body
-        CRC on top.
+        index. ``base`` (the batch's stream position) adds event-level
+        duplicate dropping and a body CRC on top.
         """
         triples = bytearray()
         n = 0
@@ -627,14 +574,7 @@ class DeltaEncoder:
                 out += raw
         out += _U32.pack(n)
         out += triples
-        body = bytes(out)
-        if base is None:
-            return bytes([DELTA_EVENTS]) + body
-        return (
-            bytes([DELTA_EVENTS_POS])
-            + _POS_HEADER.pack(base, zlib.crc32(body))
-            + body
-        )
+        return _positioned(DELTA_EVENTS_POS, base, bytes(out))
 
 
 class DeltaDecoder:
@@ -745,52 +685,37 @@ def _decode_text_body(body: bytes) -> List[Event]:
 
 def decode_events_ex(
     payload: bytes, decoder: Optional[DeltaDecoder] = None
-) -> Tuple[List[Event], Optional[int]]:
-    """Decode an EVENTS payload of any encoding.
+) -> Tuple[List[Event], int]:
+    """Decode an EVENTS payload of either encoding.
 
     Returns ``(events, base)`` — ``base`` is the stream position the
-    batch claims to start at (positioned tags), or ``None`` (legacy
-    tags). ``decoder`` carries the per-stream delta state; text
-    payloads do not need one. Returned events carry ``idx = -1`` — the
-    session stamps global stream positions.
+    batch claims to start at. ``decoder`` carries the per-stream delta
+    state; text payloads do not need one. Returned events carry
+    ``idx = -1`` — the session stamps global stream positions.
 
     Raises:
-        PayloadError: On an unknown encoding tag, a CRC mismatch, or
-            any body defect.
+        PayloadError: On an unknown or unpositioned encoding tag, a CRC
+            mismatch, or any body defect.
     """
     if not payload:
         raise PayloadError("empty EVENTS payload")
     tag = payload[0]
-    base: Optional[int] = None
+    if tag not in (TEXT_EVENTS_POS, DELTA_EVENTS_POS):
+        raise PayloadError(
+            f"unknown events encoding tag {tag} (EVENTS must be "
+            f"positioned: tag {TEXT_EVENTS_POS} or {DELTA_EVENTS_POS})"
+        )
     body = payload[1:]
-    if tag in (TEXT_EVENTS_POS, DELTA_EVENTS_POS):
-        if len(body) < _POS_HEADER.size:
-            raise PayloadError("truncated positioned-events header")
-        base, crc = _POS_HEADER.unpack_from(body)
-        body = body[_POS_HEADER.size :]
-        if zlib.crc32(body) != crc:
-            raise PayloadError(
-                f"events body CRC mismatch at base {base} (corrupt frame)"
-            )
-        tag = TEXT_EVENTS if tag == TEXT_EVENTS_POS else DELTA_EVENTS
-    if tag == TEXT_EVENTS:
+    if len(body) < _POS_HEADER.size:
+        raise PayloadError("truncated positioned-events header")
+    base, crc = _POS_HEADER.unpack_from(body)
+    body = body[_POS_HEADER.size :]
+    if zlib.crc32(body) != crc:
+        raise PayloadError(
+            f"events body CRC mismatch at base {base} (corrupt frame)"
+        )
+    if tag == TEXT_EVENTS_POS:
         return _decode_text_body(body), base
-    if tag == DELTA_EVENTS:
-        if decoder is None:
-            raise PayloadError("delta-encoded events need a stream decoder")
-        return decoder.decode(body), base
-    raise PayloadError(f"unknown events encoding tag {payload[0]}")
-
-
-def decode_events(
-    payload: bytes, decoder: Optional[DeltaDecoder] = None
-) -> List[Event]:
-    """Decode an EVENTS payload, dropping any position header.
-
-    The events-only form of :func:`decode_events_ex` (which the server
-    uses to enforce positioned idempotence).
-
-    Raises:
-        PayloadError: On an unknown encoding tag or any body defect.
-    """
-    return decode_events_ex(payload, decoder)[0]
+    if decoder is None:
+        raise PayloadError("delta-encoded events need a stream decoder")
+    return decoder.decode(body), base

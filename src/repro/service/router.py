@@ -70,6 +70,10 @@ CONTROL_TIMEOUT = 30.0
 #: inbox of event batches ahead of a CLOSE barrier.
 REPLY_TIMEOUT = 600.0
 
+#: Seconds a process shard waits on its inbox between checks that the
+#: server that forked it is still alive.
+PARENT_POLL = 0.5
+
 
 class RouterError(RuntimeError):
     """A shard command failed (the message carries the worker error)."""
@@ -116,7 +120,7 @@ class ShardCrashed(RouterError):
 class _Future:
     """A one-shot reply slot for shard commands.
 
-    Blocking callers :meth:`wait`; the event-loop backend instead
+    Blocking callers :meth:`wait`; the server's event loop instead
     :meth:`subscribe`\\ s a callback (fired from the resolving shard's
     thread — subscribers must be thread-safe, e.g. poke a wakeup pipe)
     and later reads :meth:`result` without ever blocking.
@@ -700,9 +704,41 @@ class _ThreadShard:
         self._thread.join(timeout=5.0)
 
 
+class _OrphanAwareInbox:
+    """A process shard's inbox that turns parent death into ``stop``.
+
+    A server killed with SIGKILL never sends ``stop``; a shard blocked
+    in a plain ``get()`` would then outlive it forever. Waiting in
+    :data:`PARENT_POLL` slices and checking the parent between them
+    bounds that to a few seconds.
+    """
+
+    def __init__(self, inbox, outbox) -> None:
+        import multiprocessing as mp
+
+        self._inbox = inbox
+        self._outbox = outbox
+        self._parent = mp.parent_process()
+
+    def get(self) -> tuple:
+        while True:
+            try:
+                return self._inbox.get(timeout=PARENT_POLL)
+            except queue.Empty:
+                if not self._parent.is_alive():
+                    # Nobody drains the outbox any more: do not block
+                    # process exit on flushing replies into it.
+                    self._outbox.cancel_join_thread()
+                    return None, "stop", ()
+
+
 def _process_main(worker: ShardWorker, inbox, outbox) -> None:
     """Entry point of a process shard (must be importable for spawn)."""
-    _drive(worker, inbox, lambda token, ok, value: outbox.put((token, ok, value)))
+    _drive(
+        worker,
+        _OrphanAwareInbox(inbox, outbox),
+        lambda token, ok, value: outbox.put((token, ok, value)),
+    )
 
 
 class _ProcessShard:
@@ -1087,7 +1123,7 @@ class Router:
         """Adopt a handed-off session (higher position wins on conflict)."""
         return self._shard(session_id).call("import", blob)
 
-    # -- non-blocking surface (the event-loop backend) ---------------------
+    # -- non-blocking surface (the server's event loop) ------------------
     #
     # Same commands, but the caller gets the reply _Future instead of a
     # blocked thread: the selectors loop subscribes a wakeup callback
@@ -1110,7 +1146,7 @@ class Router:
         )
 
     def submit_import(self, session_id: str, blob: bytes) -> _Future:
-        """Non-blocking :meth:`import_session` (the event-loop backend
+        """Non-blocking :meth:`import_session` (the server's event loop
         must never park its only thread on a shard reply)."""
         return self._shard(session_id).submit("import", blob)
 

@@ -1,22 +1,20 @@
 """The ``repro serve`` daemon: ``repro-wire/1`` over TCP.
 
-Two interchangeable front ends over one
-:class:`~repro.service.router.Router`, both driving the same sans-IO
-:class:`~repro.service.connection.WireConnection` state machine (so
-protocol semantics, error mapping, and fault sites cannot drift):
+One single-threaded :mod:`selectors` event loop owns every socket in
+front of one :class:`~repro.service.router.Router`. Each connection is
+a sans-IO :class:`~repro.service.connection.WireConnection` state
+machine; the loop only moves bytes:
 
-* ``backend="thread"`` — a :class:`socketserver.ThreadingTCPServer`:
-  one handler thread per connection, blocking reads under a socket
-  timeout. Simple, debuggable, fine up to the low thousands of tenants.
-* ``backend="async"`` — a single-threaded :mod:`selectors` event loop:
-  non-blocking accept/read/write for every connection on one thread,
-  per-connection write-queue backpressure (reads pause while a slow
-  peer's reply queue is over the high-water mark), and a coarse
-  **deadline wheel** replacing per-socket ``settimeout`` (O(1) arm per
-  read, lazy reinsertion on expiry sweep). Shard replies resolve
-  through future subscriptions poking a self-pipe, so the loop never
-  blocks on the router. Idle connections cost one fd and a few KB —
-  this is the C10k front end.
+* non-blocking accept/read/write for every connection on one thread;
+* per-connection write-queue backpressure: reads pause while a slow
+  peer's reply queue is over the high-water mark;
+* a coarse **deadline wheel** instead of per-socket ``settimeout``
+  (O(1) arm per read, lazy reinsertion on the expiry sweep);
+* shard replies resolve through future subscriptions that poke a
+  self-pipe, so the loop never blocks on the router.
+
+Idle connections cost one fd and a few KB, which is what lets one
+server hold ten thousand sessions.
 
 The protocol is strict request/response: every client frame is answered
 by exactly one server frame (``OK``/``VIOLATION``/``REPORT``/
@@ -31,17 +29,15 @@ by exactly one server frame (``OK``/``VIOLATION``/``REPORT``/
   ``ERROR`` and the connection stays usable;
 * ``BUSY`` signals shard backpressure; clients retry after a pause.
 
-The ``STATS`` reply merges server-level counters with the router's
-per-shard rows; the async backend adds its event-loop gauges (open
-connections, ring-buffer high water, write-queue depth/high water,
-worst loop stall).
+The ``STATS`` reply merges the server's counters and event-loop gauges
+(open connections, ring-buffer high water, write-queue depth/high
+water, worst loop stall) with the router's per-shard rows.
 
 Fault sites (see :mod:`repro.faults`): ``wire.reply`` —
 ``truncate``/``corrupt`` a reply frame or ``reset`` the connection
 before answering; ``server.events`` — ``duplicate`` redelivers a
 decoded EVENTS batch (at-least-once delivery, which positioned frames
-make idempotent). Both live in the shared connection core, so chaos
-drills exercise either backend unchanged.
+make idempotent). Both live in the connection core.
 """
 
 from __future__ import annotations
@@ -50,22 +46,20 @@ import collections
 import logging
 import selectors
 import socket
-import socketserver
 import threading
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from ..obs.metrics import Counter, MetricsRegistry, stats_to_prom
+from ..obs.metrics import MetricsRegistry, stats_to_prom
 from .connection import WireConnection
 from .recovery import RecoveryManager
-from .router import REPLY_TIMEOUT, Router, RouterError
+from .router import Router
 
 log = logging.getLogger("repro.service")
 
-#: Wire-server counter short names -> (prom name, help). Both backends
-#: carry exactly these on the stats doc's ``server`` block; the async
-#: loop adds its gauges on top in :meth:`_AsyncServer.counters`.
+#: Wire-server counter short names -> (prom name, help), carried on the
+#: stats doc's ``server`` block next to the event-loop gauges.
 _SERVER_COUNTERS = (
     ("busy_replies", "repro_server_busy_replies_total",
      "BUSY backpressure replies sent"),
@@ -81,19 +75,9 @@ _SERVER_COUNTERS = (
      "BUSY replies flagged shed=true"),
 )
 
-
-def _server_counters() -> "tuple[MetricsRegistry, Dict[str, Counter]]":
-    """A wire server's typed counter set (repro.obs.metrics)."""
-    registry = MetricsRegistry()
-    by_short = {
-        short: registry.counter(name, help)
-        for short, name, help in _SERVER_COUNTERS
-    }
-    return registry, by_short
-
 #: Default per-connection read timeout (seconds). Generous — it only
-#: has to beat "forever": a stalled client releases its handler thread
-#: (or wheel slot) instead of pinning it until process exit.
+#: has to beat "forever": a stalled client releases its wheel slot and
+#: fd instead of holding them until process exit.
 DEFAULT_READ_TIMEOUT = 600.0
 
 #: Bytes per transport read.
@@ -106,112 +90,7 @@ WRITE_HWM = 256 * 1024
 #: ... and resume once the queue drains below this.
 WRITE_LWM = 64 * 1024
 
-BACKENDS = ("thread", "async")
-
-
-class _Handler(socketserver.StreamRequestHandler):
-    """One client connection on the threaded backend.
-
-    All protocol logic lives in :class:`WireConnection`; this is just
-    the blocking transport: recv under a socket timeout, sendall the
-    outbox, block on shard futures.
-    """
-
-    def setup(self) -> None:
-        super().setup()
-        timeout = getattr(self.server, "read_timeout", None)
-        if timeout:
-            self.connection.settimeout(timeout)
-
-    def handle(self) -> None:
-        server = self.server
-        wire = WireConnection(
-            server.router,  # type: ignore[attr-defined]
-            count=server.count,  # type: ignore[attr-defined]
-            counters=server.counters,  # type: ignore[attr-defined]
-            cluster=getattr(server, "cluster", None),
-        )
-        while True:
-            futures = wire.pump()
-            while futures is not None:
-                for future in futures:
-                    try:
-                        future.join(REPLY_TIMEOUT)
-                    except RouterError as error:
-                        wire.fail_pending(str(error))
-                        break
-                futures = wire.pump()
-            if not self._write_out(wire):
-                return
-            if wire.reset:
-                self.connection.close()
-                return
-            if wire.close_after_send:
-                return
-            try:
-                data = self.connection.recv(RECV_SIZE)
-            except TimeoutError:
-                wire.on_read_timeout()
-                self._write_out(wire)
-                return
-            except OSError:
-                return
-            if not data:
-                wire.on_eof()
-                self._write_out(wire)
-                return
-            wire.receive_bytes(data)
-
-    def _write_out(self, wire: WireConnection) -> bool:
-        if not wire.outbox:
-            return True
-        try:
-            for frame in wire.outbox:
-                self.connection.sendall(frame)
-        except OSError:
-            return False
-        finally:
-            wire.outbox.clear()
-        return True
-
-
-class _TCPServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self.read_timeout: Optional[float] = None
-        self.cluster: Optional[Any] = None
-        self.metrics, self._counters = _server_counters()
-        self._counters_lock = threading.Lock()
-
-    def count(self, counter: str) -> None:
-        with self._counters_lock:
-            metric = self._counters.get(counter)
-            if metric is None:
-                metric = self.metrics.counter(
-                    f"repro_server_{counter}_total"
-                )
-                self._counters[counter] = metric
-            metric.inc()
-
-    def counters(self) -> Dict[str, Any]:
-        with self._counters_lock:
-            out: Dict[str, Any] = {
-                short: metric.value
-                for short, metric in self._counters.items()
-            }
-        out["backend"] = "thread"
-        return out
-
-    def handle_error(self, request: Any, client_address: Any) -> None:
-        # The default prints a traceback to stderr; keep attribution
-        # and route through the service logger instead.
-        log.exception("unhandled handler error from client=%s", client_address)
-
-
-# -- the event-loop backend --------------------------------------------------
+# -- the event loop ---------------------------------------------------------
 
 
 class _DeadlineWheel:
@@ -275,14 +154,13 @@ class _AsyncConn:
 
 
 class _AsyncServer:
-    """Single-threaded ``selectors`` front end (``backend="async"``).
+    """The single-threaded ``selectors`` front end.
 
     One loop owns every socket. Blocking never happens: reads and
     writes are non-blocking, shard commands go through the router's
     ``submit`` surface, and reply futures wake the loop through a
     self-pipe (the shard thread appends the connection to a ready
-    deque and sends one byte). Mirrors the counter interface of
-    :class:`_TCPServer` and adds the event-loop gauges.
+    deque and sends one byte).
     """
 
     def __init__(
@@ -312,7 +190,11 @@ class _AsyncServer:
             resolution = max(0.05, min(1.0, read_timeout / 4.0))
         self._wheel = _DeadlineWheel(resolution)
         self.cluster: Optional[Any] = None
-        self.metrics, self._counters = _server_counters()
+        self.metrics = MetricsRegistry()
+        self._counters = {
+            short: self.metrics.counter(name, help)
+            for short, name, help in _SERVER_COUNTERS
+        }
         self._counters_lock = threading.Lock()
         self.connections_total = 0
         self.ring_high_water = 0  # carried over from closed connections
@@ -324,7 +206,7 @@ class _AsyncServer:
         self._serving = False
         self._closed = False
 
-    # -- counter interface (shared with WireConnection) ---------------------
+    # -- counter interface (called by WireConnection) -----------------------
 
     def count(self, counter: str) -> None:
         with self._counters_lock:
@@ -359,9 +241,7 @@ class _AsyncServer:
 
     # -- the loop -----------------------------------------------------------
 
-    def serve_forever(self, poll_interval: Optional[float] = None) -> None:
-        # poll_interval is the threaded backend's knob; accepted for
-        # interface parity, the wheel/self-pipe set the cadence here.
+    def serve_forever(self) -> None:
         self._serving = True
         self._stopped.clear()
         try:
@@ -646,8 +526,6 @@ class ServiceServer:
         queue_size: Shard inbox bound (batches) before ``BUSY``.
         read_timeout: Per-connection read deadline in seconds
             (``None`` disables; default :data:`DEFAULT_READ_TIMEOUT`).
-        backend: ``"thread"`` (one handler thread per connection) or
-            ``"async"`` (single-threaded ``selectors`` event loop).
         cluster: Join the multi-node protocol even without peers (a
             cluster of one that others ``--join``). Implied by ``join``.
         join: Peer addresses (``host:port``) to JOIN through at start.
@@ -676,7 +554,6 @@ class ServiceServer:
         checkpoint_every: Optional[int] = 1000,
         queue_size: int = 64,
         read_timeout: Optional[float] = DEFAULT_READ_TIMEOUT,
-        backend: str = "thread",
         cluster: bool = False,
         join: Sequence[str] = (),
         node_id: Optional[str] = None,
@@ -687,10 +564,6 @@ class ServiceServer:
         tenant_quota: Optional[int] = None,
         metrics_port: Optional[int] = None,
     ) -> None:
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"backend must be one of {BACKENDS}, not {backend!r}"
-            )
         recovery = RecoveryManager(spool) if spool is not None else None
         self.router = Router(
             shards=shards,
@@ -704,15 +577,9 @@ class ServiceServer:
         #: Spool entries quarantined during recovery (dicts with
         #: ``file``/``reason``) — the salvage report.
         self.salvaged = self.router.salvaged
-        self.backend = backend
-        if backend == "async":
-            self._impl: Any = _AsyncServer(
-                (host, port), router=self.router, read_timeout=read_timeout
-            )
-        else:
-            self._impl = _TCPServer((host, port), _Handler)
-            self._impl.router = self.router  # type: ignore[attr-defined]
-            self._impl.read_timeout = read_timeout
+        self._impl = _AsyncServer(
+            (host, port), router=self.router, read_timeout=read_timeout
+        )
         self.host, self.port = self._impl.server_address[:2]
         self.cluster = None
         if cluster or join:
@@ -770,7 +637,6 @@ class ServiceServer:
         """Serve in a background thread (for tests and embedding)."""
         self._thread = threading.Thread(
             target=self._impl.serve_forever,
-            kwargs={"poll_interval": 0.05},
             name="repro-service",
             daemon=True,
         )
@@ -790,7 +656,7 @@ class ServiceServer:
             # The listener is already bound (backlog holds early peer
             # traffic), so joining before the accept loop is safe.
             self.cluster.start()
-        self._impl.serve_forever(poll_interval=0.2)
+        self._impl.serve_forever()
 
     def stop(self) -> None:
         if self._metrics_endpoint is not None:

@@ -211,6 +211,20 @@ class TestChaosCli:
         assert main(["chaos", "--scenario", "nope"]) == 2
         capsys.readouterr()
 
+    def test_only_the_event_loop_front_end_parses(self, capsys):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        args = parser.parse_args(["serve", "--backend", "async"])
+        assert args.backend == "async"
+        for argv in (
+            ["serve", "--backend", "thread"],
+            ["chaos", "--backend", "async"],
+        ):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+        capsys.readouterr()
+
     def test_submit_unreachable_exit_code(self, tmp_path, capsys):
         trace = tmp_path / "t.std"
         trace.write_text("t1|begin\nt1|w(x)\nt1|end\n")

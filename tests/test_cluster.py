@@ -275,7 +275,7 @@ class TestHandoffCodec:
 # -- live clusters ----------------------------------------------------------
 
 
-def start_cluster(base, backend, node_ids=("a", "b", "c"), shards=2):
+def start_cluster(base, node_ids=("a", "b", "c"), shards=2):
     """Spin up a ring: the first node stands alone, the rest join it.
     Fast gossip so the drills converge in test time; suspicion stays at
     20 gossip ticks so a starved scheduler (full-suite runs share one
@@ -285,7 +285,6 @@ def start_cluster(base, backend, node_ids=("a", "b", "c"), shards=2):
         for node_id in node_ids:
             kwargs = dict(
                 shards=shards,
-                backend=backend,
                 spool=base / node_id,
                 node_id=node_id,
                 gossip_interval=0.1,
@@ -359,12 +358,11 @@ def replicas_held(client):
     )
 
 
-@pytest.fixture(scope="module", params=["thread", "async"])
-def ring3(request, tmp_path_factory):
-    """One three-node cluster per wire backend, shared by the
-    non-destructive tests below."""
-    base = tmp_path_factory.mktemp(f"ring3-{request.param}")
-    nodes = start_cluster(base, request.param)
+@pytest.fixture(scope="module")
+def ring3(tmp_path_factory):
+    """One three-node cluster, shared by the non-destructive tests
+    below."""
+    nodes = start_cluster(tmp_path_factory.mktemp("ring3"))
     yield nodes
     for node in nodes:
         node.stop()
@@ -485,7 +483,7 @@ def test_join_migrates_open_sessions(tmp_path):
     checkpoint shipped, session resumable at the new owner — when a
     second node joins and takes over their arcs."""
     first = ServiceServer(
-        shards=2, backend="thread", spool=tmp_path / "a",
+        shards=2, spool=tmp_path / "a",
         cluster=True, node_id="a",
         gossip_interval=0.1, suspect_after=2.0,
     ).start()
@@ -514,7 +512,7 @@ def test_join_migrates_open_sessions(tmp_path):
             baselines[sid] = offline_doc(spec.trace(), name=spec.name)
 
         second = ServiceServer(
-            shards=2, backend="thread", spool=tmp_path / "b",
+            shards=2, spool=tmp_path / "b",
             node_id="b", join=[first.address],
             gossip_interval=0.1, suspect_after=2.0,
         ).start()
@@ -542,17 +540,16 @@ def test_join_migrates_open_sessions(tmp_path):
         first.stop()
 
 
-@pytest.mark.parametrize("backend", ["thread", "async"])
-def test_failover_kill_drill(tmp_path, backend):
+def test_failover_kill_drill(tmp_path):
     """The tentpole drill: three nodes, four sessions streamed halfway,
     one owner hard-killed mid-stream. The ring must heal (epoch bump,
     dead peer), the survivors adopt the victim's replicas, and every
     resumed report must equal the offline run."""
-    nodes = start_cluster(tmp_path, backend)
+    nodes = start_cluster(tmp_path)
     try:
         client = ClusterClient([n.address for n in nodes], jitter_seed=6)
         specs = [trace_zoo.get(n) for n in DRILL_SPECIMENS]
-        sessions = stream_halfway(client, specs, prefix=f"drill-{backend}")
+        sessions = stream_halfway(client, specs, prefix="drill")
         baselines = {
             sid: offline_doc(spec.trace(), name=spec.name)
             for sid, spec in sessions.items()
@@ -611,7 +608,7 @@ def test_failover_kill_drill(tmp_path, backend):
 def test_closed_sessions_do_not_resurrect(tmp_path):
     """A session closed normally must not come back from a replica
     when its old owner dies: the CLOSE notice drops the copy."""
-    nodes = start_cluster(tmp_path, "thread", node_ids=("a", "b"))
+    nodes = start_cluster(tmp_path, node_ids=("a", "b"))
     try:
         client = ClusterClient([n.address for n in nodes], jitter_seed=8)
         spec = trace_zoo.get("paper-rho1")

@@ -219,17 +219,18 @@ class TestPositionedEvents:
         assert [str(e) for e in decoded] == [str(e) for e in events]
 
     @pytest.mark.parametrize("encoding", ["text", "delta"])
-    def test_unpositioned_stays_compatible(self, encoding):
+    def test_unpositioned_tags_are_rejected(self, encoding):
+        """Tags 0/1 carry the same bodies with no base, so a redelivered
+        batch would double-feed the session: they are a payload error."""
         events = self.events()
         if encoding == "text":
-            payload = protocol.encode_events_text(events)
+            payload = protocol.encode_events_text(events, base=0)
         else:
-            payload = protocol.DeltaEncoder().encode(events)
-        decoded, base = protocol.decode_events_ex(
-            payload, protocol.DeltaDecoder()
-        )
-        assert base is None
-        assert len(decoded) == len(events)
+            payload = protocol.DeltaEncoder().encode(events, base=0)
+        # Drop the 12-byte position header: tag 2/3 becomes tag 0/1.
+        legacy = bytes([payload[0] - 2]) + payload[13:]
+        with pytest.raises(protocol.PayloadError, match="positioned"):
+            protocol.decode_events_ex(legacy, protocol.DeltaDecoder())
 
     def test_corrupt_body_raises_typed_crc_error(self):
         payload = bytearray(

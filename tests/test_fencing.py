@@ -61,7 +61,7 @@ def bump_epoch(server, n=1):
 def node(tmp_path):
     """One clustered node with a quiet gossip loop."""
     server = ServiceServer(
-        shards=2, backend="thread", spool=str(tmp_path / "node"),
+        shards=2, spool=str(tmp_path / "node"),
         cluster=True, node_id="n1",
         gossip_interval=5.0, suspect_after=60.0,
     ).start()
@@ -219,7 +219,7 @@ def test_events_behind_pinned_epoch_is_fenced():
         # side): the very next shard-bound frame must fence.
         stub.epoch = 2
         conn.receive_bytes(
-            encode_frame(FrameType.EVENTS, encode_events_text([]))
+            encode_frame(FrameType.EVENTS, encode_events_text([], base=0))
         )
         drive(conn)
         ftype, obj = replies(conn)[-1]
@@ -263,11 +263,11 @@ def test_fenced_handoff_drains_on_source_without_double_reporting(tmp_path):
     base = offline_doc(spec)
     events = list(spec.trace())
     source = ServiceServer(
-        shards=1, backend="thread", spool=str(tmp_path / "src"),
+        shards=1, spool=str(tmp_path / "src"),
         checkpoint_every=4,
     ).start()
     target = ServiceServer(
-        shards=1, backend="thread", spool=str(tmp_path / "dst"),
+        shards=1, spool=str(tmp_path / "dst"),
         cluster=True, node_id="t1",
         gossip_interval=5.0, suspect_after=60.0,
     ).start()

@@ -2,11 +2,10 @@
 
 The harness takes time and tick order away from the OS (a shared
 :class:`SimClock`, ``manual_ticks``), so the seeded fault plan is the
-only source of nondeterminism — same seed, same fault trace, on either
-server backend. These tests pin that contract, the suspicion score's
-silence and RTT terms, overload shedding, the lenient-restart
-durability warning, and the gossip heal probe that un-sticks a
-mutually-dead split.
+only source of nondeterminism — same seed, same fault trace. These
+tests pin that contract, the suspicion score's silence and RTT terms,
+overload shedding, the lenient-restart durability warning, and the
+gossip heal probe that un-sticks a mutually-dead split.
 """
 
 import time
@@ -188,7 +187,7 @@ class TestLenientRestart:
     @pytest.fixture
     def server(self, tmp_path):
         server = ServiceServer(
-            shards=1, backend="thread", spool=str(tmp_path / "spool"),
+            shards=1, spool=str(tmp_path / "spool"),
         ).start()
         yield server
         server.stop()
@@ -258,7 +257,7 @@ def test_heal_probe_unsticks_a_mutually_dead_split(tmp_path):
     across the healed link; the probed node re-asserts and both views
     converge."""
     first = ServiceServer(
-        shards=1, backend="thread", spool=str(tmp_path / "a"),
+        shards=1, spool=str(tmp_path / "a"),
         cluster=True, node_id="a",
         gossip_interval=0.05, suspect_after=60.0,
     )
@@ -267,7 +266,7 @@ def test_heal_probe_unsticks_a_mutually_dead_split(tmp_path):
     second = None
     try:
         second = ServiceServer(
-            shards=1, backend="thread", spool=str(tmp_path / "b"),
+            shards=1, spool=str(tmp_path / "b"),
             cluster=True, node_id="b", join=[first.address],
             gossip_interval=0.05, suspect_after=60.0,
         )
@@ -348,12 +347,3 @@ def test_different_seeds_draw_different_gossip_weather():
     assert weather(1234) == weather(1234)
     assert weather(1234) != weather(4321)
 
-
-def test_backends_agree_on_the_fault_trace():
-    """The fault sites live below the front end: the same seed carves
-    the same schedule whether the servers run threads or an event loop."""
-    threads = run_cluster_scenario("partition-two-way", seed=99)
-    evented = run_cluster_scenario("partition-two-way", seed=99,
-                                   backend="async")
-    assert threads.ok and evented.ok
-    assert threads.injected == evented.injected

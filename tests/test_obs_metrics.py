@@ -1,7 +1,7 @@
 """repro.obs.metrics: typed instruments, repro-stats/1, prom exposition.
 
 Covers the PR-10 tentpole leg 1 and satellites 1–2: the versioned
-``service-stats`` schema holds on both backends (1-node and cluster),
+``service-stats`` schema holds on 1-node and cluster servers,
 the Prometheus rendering matches the documented catalog on a live
 scrape, and ``repro service-stats`` fails typed (exit 3) against an
 unreachable node.
@@ -101,12 +101,12 @@ def test_stats_to_prom_renders_labels_and_histograms():
         "shed": 1,
         "shard_restarts": 0,
         "uptime_seconds": 1.25,
-        "server": {"backend": "thread", "busy_replies": 4},
+        "server": {"backend": "async", "busy_replies": 4},
     }
     text = stats_to_prom(doc)
     assert 'repro_shard_events_total{shard="0"} 10' in text
     assert 'repro_tenant_violations_total{tenant="tenant-a"} 3' in text
-    assert 'repro_server_busy_replies_total{backend="thread"} 4' in text
+    assert 'repro_server_busy_replies_total{backend="async"} 4' in text
     assert 'repro_shard_checkpoint_lag_bucket{le="64",shard="0"} 1' in text
     assert 'repro_shard_checkpoint_lag_count{shard="0"} 1' in text
     assert "# TYPE repro_shard_checkpoint_lag histogram" in text
@@ -152,12 +152,12 @@ REQUIRED_TOP_KEYS = {
 }
 
 
-def _assert_stats_shape(stats, backend, cluster):
+def _assert_stats_shape(stats, cluster):
     assert stats["schema"] == STATS_SCHEMA
     assert REQUIRED_TOP_KEYS <= set(stats)
     for row in stats["shards"]:
         assert REQUIRED_SHARD_KEYS <= set(row)
-    assert stats["server"]["backend"] == backend
+    assert stats["server"]["backend"] == "async"
     if cluster:
         assert "cluster" in stats
         assert {"node", "epoch", "peers", "gossip_ticks"} <= set(
@@ -169,11 +169,10 @@ def _assert_stats_shape(stats, backend, cluster):
     assert validate_prom_text(stats_to_prom(stats)) == []
 
 
-@pytest.mark.parametrize("backend", ["thread", "async"])
 @pytest.mark.parametrize("cluster", [False, True], ids=["1-node", "cluster"])
-def test_stats_schema_shape(small_trace, backend, cluster):
+def test_stats_schema_shape(small_trace, cluster):
     with ServiceServer(
-        port=0, backend=backend, shards=2, cluster=cluster,
+        port=0, shards=2, cluster=cluster,
         gossip_interval=0.1 if cluster else None,
     ) as server:
         server.start()
@@ -184,14 +183,11 @@ def test_stats_schema_shape(small_trace, backend, cluster):
         with ServiceClient(server.host, server.port) as client:
             stats = client.stats()
     json.dumps(stats)  # the whole document stays JSON-serializable
-    _assert_stats_shape(stats, backend, cluster)
+    _assert_stats_shape(stats, cluster)
 
 
-@pytest.mark.parametrize("backend", ["thread", "async"])
-def test_metrics_endpoint_scrape(small_trace, backend):
-    with ServiceServer(
-        port=0, backend=backend, shards=2, metrics_port=0
-    ) as server:
+def test_metrics_endpoint_scrape(small_trace):
+    with ServiceServer(port=0, shards=2, metrics_port=0) as server:
         server.start()
         submit_trace(
             server.host, server.port, iter(small_trace), ["aerodrome"],
@@ -208,7 +204,7 @@ def test_metrics_endpoint_scrape(small_trace, backend):
                 timeout=10,
             )
     assert validate_prom_text(body) == []
-    assert f'repro_server_busy_replies_total{{backend="{backend}"}}' in body
+    assert 'repro_server_busy_replies_total{backend="async"}' in body
 
 
 def test_tenant_violation_counts_reach_the_exposition(small_trace):

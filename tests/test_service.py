@@ -10,8 +10,16 @@ extension of the checkpoint-equivalence property in
 ``tests/test_snapshot.py``.
 """
 
+import os
 import random
+import signal
 import socket
+import struct
+import subprocess
+import sys
+import time
+import zlib
+from pathlib import Path
 
 import pytest
 
@@ -179,12 +187,10 @@ class TestRouter:
 # -- live server: the agreement property ------------------------------------
 
 
-@pytest.fixture(scope="module", params=["thread", "async"])
-def server(request):
-    """One live server per wire backend — every test below runs against
-    both the thread-per-connection and the selectors event-loop front
-    end, which is what keeps the two byte-for-byte equivalent."""
-    with ServiceServer(shards=2, backend=request.param).start() as srv:
+@pytest.fixture(scope="module")
+def server():
+    """One live server shared by the tests below."""
+    with ServiceServer(shards=2).start() as srv:
         yield srv
 
 
@@ -210,8 +216,7 @@ def test_zoo_agreement_over_live_server(server):
         validate_report(doc)
 
 
-@pytest.mark.parametrize("backend", ["thread", "async"])
-def test_zoo_agreement_with_restart_mid_stream(tmp_path, backend):
+def test_zoo_agreement_with_restart_mid_stream(tmp_path):
     """Satellite property: checkpoint, kill the server, restart from
     the spool, resume, and the report still matches offline."""
     spool = tmp_path / "spool"
@@ -220,7 +225,7 @@ def test_zoo_agreement_with_restart_mid_stream(tmp_path, backend):
         base = offline_doc(spec.trace(), name=spec.name)
         cut = random.Random(100 + i).randint(1, max(1, len(trace) - 1))
         sid = f"restart-{spec.name}"
-        with ServiceServer(shards=2, spool=spool, backend=backend).start() as first:
+        with ServiceServer(shards=2, spool=spool).start() as first:
             part = submit_trace(
                 first.host,
                 first.port,
@@ -235,7 +240,7 @@ def test_zoo_agreement_with_restart_mid_stream(tmp_path, backend):
             assert part["open"] and part["position"] == cut
         # first server is gone (stop() ≈ the crash); a new incarnation
         # recovers the session from the spool.
-        with ServiceServer(shards=2, spool=spool, backend=backend).start() as second:
+        with ServiceServer(shards=2, spool=spool).start() as second:
             assert sid in second.recovered
             doc = submit_trace(
                 second.host,
@@ -321,7 +326,7 @@ def test_events_before_hello_is_an_error(server):
             client.roundtrip(
                 protocol.encode_frame(
                     protocol.FrameType.EVENTS,
-                    protocol.encode_events_text([]),
+                    protocol.encode_events_text([], base=0),
                 )
             )
 
@@ -333,16 +338,36 @@ def test_stats_frame(server):
     assert len(stats["shards"]) == 2
 
 
-def test_malformed_event_line_parks_error_on_session(server):
+def _positioned_text_frame(body, base=0):
     from repro.service import protocol
 
+    payload = (
+        bytes([protocol.TEXT_EVENTS_POS])
+        + struct.pack("<QI", base, zlib.crc32(body))
+        + body
+    )
+    return protocol.encode_frame(protocol.FrameType.EVENTS, payload)
+
+
+def test_malformed_event_line_parks_error_on_session(server):
     with ServiceClient(server.host, server.port) as client:
         client.open_session(["aerodrome"], name="bad-events")
         with pytest.raises(ServiceError):
             # fork with no target is a payload error at decode time
+            client.roundtrip(_positioned_text_frame(b"t1|fork"))
+
+
+def test_unpositioned_events_frame_is_answered_with_error(server):
+    """Legacy tag-0 EVENTS (no base) get a typed ERROR and the
+    connection is dropped, like any other bad payload."""
+    from repro.service import protocol
+
+    with ServiceClient(server.host, server.port) as client:
+        client.open_session(["aerodrome"], name="legacy-events")
+        with pytest.raises(ServiceError, match="positioned"):
             client.roundtrip(
                 protocol.encode_frame(
-                    protocol.FrameType.EVENTS, bytes([0]) + b"t1|fork"
+                    protocol.FrameType.EVENTS, bytes([0]) + b"t1|w(x)"
                 )
             )
 
@@ -413,3 +438,76 @@ class TestRecovery:
         path = manager.path_for("../../etc/passwd")
         assert path.parent == manager.spool
         assert "/" not in path.name
+
+
+# -- process shards die with their server ------------------------------------
+
+
+def _proc_stat(pid):
+    """``/proc/<pid>/stat`` fields after the command name, or None."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    return stat.rsplit(")", 1)[1].split()  # the name may hold spaces
+
+
+def _children(pid):
+    kids = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            fields = _proc_stat(entry)
+            if fields is not None and int(fields[1]) == pid:
+                kids.append(int(entry))
+    return kids
+
+
+def _gone_or_zombie(pid):
+    fields = _proc_stat(pid)
+    return fields is None or fields[0] == "Z"
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/stat").exists(), reason="needs Linux /proc"
+)
+def test_process_shards_exit_when_the_server_is_killed(tmp_path):
+    """A SIGKILLed server never sends its shards ``stop``: each process
+    shard must notice its parent is gone and exit on its own."""
+    ready = tmp_path / "ready.txt"
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+            "--workers", "process", "--shards", "2",
+            "--spool", str(tmp_path / "spool"),
+            "--ready-file", str(ready),
+        ],
+        cwd=str(root),
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    shards = []
+    try:
+        deadline = time.monotonic() + 30.0
+        while not ready.exists():
+            assert proc.poll() is None, "server exited before it was ready"
+            assert time.monotonic() < deadline, "server never became ready"
+            time.sleep(0.05)
+        shards = _children(proc.pid)
+        assert len(shards) >= 2, shards
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 10.0
+        while not all(_gone_or_zombie(pid) for pid in shards):
+            assert time.monotonic() < deadline, (
+                f"shard processes outlived the killed server: {shards}"
+            )
+            time.sleep(0.1)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+        for pid in shards:
+            if not _gone_or_zombie(pid):
+                os.kill(pid, signal.SIGKILL)

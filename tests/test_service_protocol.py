@@ -9,6 +9,8 @@ garbage accepted silently.
 """
 
 import io
+import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,15 +22,15 @@ from repro.service.protocol import (
     FrameError,
     FrameType,
     PayloadError,
+    FrameStream,
     WireError,
-    decode_events,
+    decode_events_ex,
     decode_frame,
     decode_json,
     encode_events_text,
     encode_frame,
     encode_json,
     parse_hello,
-    read_frame,
 )
 from repro.sim.random_traces import RandomTraceConfig, random_trace
 
@@ -38,6 +40,20 @@ def make_events(seed, length=20):
         seed, RandomTraceConfig(n_threads=3, n_vars=3, n_locks=2, length=length)
     )
     return list(trace)
+
+
+#: Bytes ahead of an EVENTS body: the tag, the u64 base, the u32 CRC.
+POS_PREFIX = 1 + 12
+
+
+def positioned_text(body, base=0):
+    """A positioned text EVENTS payload around a raw (maybe bad) body."""
+    return bytes([2]) + struct.pack("<QI", base, zlib.crc32(body)) + body
+
+
+def delta_body(events):
+    """The bare delta body the encoder puts behind the position header."""
+    return DeltaEncoder().encode(events, base=0)[POS_PREFIX:]
 
 
 def eq_events(a, b):
@@ -77,12 +93,12 @@ def test_unknown_frame_type_rejected():
 
 def test_read_frame_truncation_and_eof():
     frame = encode_frame(FrameType.OK, b"abc")
-    assert read_frame(io.BytesIO(frame)) == (FrameType.OK, b"abc")
-    assert read_frame(io.BytesIO(b"")) is None  # clean EOF
+    assert FrameStream(io.BytesIO(frame)).read_frame() == (FrameType.OK, b"abc")
+    assert FrameStream(io.BytesIO(b"")).read_frame() is None  # clean EOF
     with pytest.raises(FrameError, match="truncated"):
-        read_frame(io.BytesIO(frame[:-1]))
+        FrameStream(io.BytesIO(frame[:-1])).read_frame()
     with pytest.raises(FrameError, match="truncated"):
-        read_frame(io.BytesIO(frame[:2]))
+        FrameStream(io.BytesIO(frame[:2])).read_frame()
 
 
 @settings(max_examples=80, deadline=None)
@@ -95,22 +111,22 @@ def test_corrupted_frame_stream_never_crashes(position, byte, seed):
     events = make_events(seed)
     data = bytearray(
         encode_json(FrameType.HELLO, {"protocol": protocol.PROTOCOL})
-        + encode_frame(FrameType.EVENTS, encode_events_text(events))
+        + encode_frame(FrameType.EVENTS, encode_events_text(events, base=0))
         + encode_frame(FrameType.CLOSE)
     )
     data[position % len(data)] = byte
-    stream = io.BytesIO(bytes(data))
+    stream = FrameStream(io.BytesIO(bytes(data)))
     decoder = DeltaDecoder()
     try:
         while True:
-            frame = read_frame(stream)
+            frame = stream.read_frame()
             if frame is None:
                 break
             ftype, payload = frame
             if ftype == FrameType.HELLO:
                 parse_hello(decode_json(payload))
             elif ftype == FrameType.EVENTS:
-                decode_events(payload, decoder)
+                decode_events_ex(payload, decoder)
     except WireError:
         pass  # typed failure: the contract
 
@@ -118,10 +134,10 @@ def test_corrupted_frame_stream_never_crashes(position, byte, seed):
 @settings(max_examples=60, deadline=None)
 @given(junk=st.binary(min_size=0, max_size=200))
 def test_arbitrary_bytes_only_raise_wire_errors(junk):
-    stream = io.BytesIO(junk)
+    stream = FrameStream(io.BytesIO(junk))
     try:
         while True:
-            frame = read_frame(stream)
+            frame = stream.read_frame()
             if frame is None:
                 break
             ftype, payload = frame
@@ -190,8 +206,8 @@ def test_hello_normalizes_specs():
 @given(seed=st.integers(0, 10**6))
 def test_text_events_round_trip(seed):
     events = make_events(seed % 100)
-    decoded = decode_events(encode_events_text(events))
-    assert eq_events(decoded, events)
+    decoded, base = decode_events_ex(encode_events_text(events, base=seed))
+    assert eq_events(decoded, events) and base == seed
 
 
 @settings(max_examples=40, deadline=None)
@@ -200,19 +216,22 @@ def test_delta_events_round_trip_across_frames(seed, cut):
     """Interner deltas accumulate: later frames reuse earlier names."""
     events = make_events(seed % 100)
     encoder, decoder = DeltaEncoder(), DeltaDecoder()
-    first = decode_events(encoder.encode(events[:cut]), decoder)
-    second = decode_events(encoder.encode(events[cut:]), decoder)
-    assert eq_events(first + second, events)
+    first, _ = decode_events_ex(encoder.encode(events[:cut], base=0), decoder)
+    second, base = decode_events_ex(
+        encoder.encode(events[cut:], base=cut), decoder
+    )
+    assert eq_events(first + second, events) and base == cut
 
 
 def test_delta_second_frame_ships_no_repeated_names():
     events = make_events(3)
     encoder = DeltaEncoder()
-    encoder.encode(events)
-    replay = encoder.encode(events)  # same names again: all interned
-    # 1 tag byte + 4 empty name tables (base + count) + event count +
-    # triples, nothing more.
-    expected = 1 + 4 * 8 + 4 + 9 * len(events)
+    encoder.encode(events, base=0)
+    # same names again: all interned
+    replay = encoder.encode(events, base=len(events))
+    # position prefix + 4 empty name tables (base + count) + event
+    # count + triples, nothing more.
+    expected = POS_PREFIX + 4 * 8 + 4 + 9 * len(events)
     assert len(replay) == expected
 
 
@@ -222,11 +241,11 @@ def test_delta_frame_retransmit_is_idempotent():
     events = make_events(11, length=40)
     cut = len(events) // 2
     encoder, decoder = DeltaEncoder(), DeltaDecoder()
-    frame1 = encoder.encode(events[:cut])
-    decode_events(frame1, decoder)
-    replayed = decode_events(frame1, decoder)  # the BUSY retransmit
+    frame1 = encoder.encode(events[:cut], base=0)
+    decode_events_ex(frame1, decoder)
+    replayed, _ = decode_events_ex(frame1, decoder)  # the BUSY retransmit
     assert eq_events(replayed, events[:cut])
-    rest = decode_events(encoder.encode(events[cut:]), decoder)
+    rest, _ = decode_events_ex(encoder.encode(events[cut:], base=cut), decoder)
     assert eq_events(rest, events[cut:])
 
 
@@ -237,12 +256,12 @@ def test_delta_frame_retransmit_is_idempotent():
     byte=st.integers(0, 255),
 )
 def test_delta_corruption_never_crashes(seed, position, byte):
-    events = make_events(seed)
-    encoder = DeltaEncoder()
-    payload = bytearray(encoder.encode(events))
-    payload[position % len(payload)] = byte
+    # Fuzz the body behind the CRC: a corrupt positioned payload never
+    # even reaches the delta decoder.
+    body = bytearray(delta_body(make_events(seed)))
+    body[position % len(body)] = byte
     try:
-        decode_events(bytes(payload), DeltaDecoder())
+        DeltaDecoder().decode(bytes(body))
     except PayloadError:
         pass
 
@@ -250,38 +269,32 @@ def test_delta_corruption_never_crashes(seed, position, byte):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 50), cut=st.floats(0.0, 0.99))
 def test_delta_truncation_never_crashes(seed, cut):
-    payload = DeltaEncoder().encode(make_events(seed))
-    truncated = payload[: int(len(payload) * cut)]
-    if not truncated:
-        with pytest.raises(PayloadError):
-            decode_events(truncated, DeltaDecoder())
-        return
-    try:
-        decode_events(truncated, DeltaDecoder())
-    except PayloadError:
-        pass
+    body = delta_body(make_events(seed))
+    truncated = body[: int(len(body) * cut)]
+    with pytest.raises(PayloadError):  # any strictly shorter body
+        DeltaDecoder().decode(truncated)
 
 
 def test_delta_needs_a_decoder():
-    payload = DeltaEncoder().encode(make_events(1))
+    payload = DeltaEncoder().encode(make_events(1), base=0)
     with pytest.raises(PayloadError, match="decoder"):
-        decode_events(payload)
+        decode_events_ex(payload)
 
 
 def test_unknown_encoding_tag_rejected():
     with pytest.raises(PayloadError, match="encoding tag"):
-        decode_events(bytes([7]) + b"rest")
+        decode_events_ex(bytes([7]) + b"rest")
 
 
 def test_bad_text_lines_rejected():
     with pytest.raises(PayloadError):
-        decode_events(bytes([0]) + b"t1|frobnicate(x)")
+        decode_events_ex(positioned_text(b"t1|frobnicate(x)"))
     with pytest.raises(PayloadError):
-        decode_events(bytes([0]) + b"\xff\xfe")
+        decode_events_ex(positioned_text(b"\xff\xfe"))
 
 
 def test_text_events_skip_comments_and_blanks():
-    decoded = decode_events(bytes([0]) + b"# header\n\nt1|w(x)\n")
+    decoded, _ = decode_events_ex(positioned_text(b"# header\n\nt1|w(x)\n"))
     assert len(decoded) == 1 and decoded[0].thread == "t1"
 
 

@@ -1,11 +1,10 @@
-"""C10k: the event-loop backend holds thousands of idle sessions.
+"""C10k: the event-loop server holds thousands of idle sessions.
 
 The point of the selectors front end is that an *open* session costs a
 few kilobytes of state, not a thread. The tier-1 smoke leg opens 1k
-sessions against an in-process async server on one thread and checks
-the loop's own gauges; the ``slow``-marked leg (``pytest -m slow``)
-drives 10k sessions against a ``repro serve --backend async``
-subprocess and asserts its resident set stays bounded — the acceptance
+sessions against an in-process server on one thread and checks the
+loop's own gauges; the ``slow``-marked leg (``pytest -m slow``) drives
+10k sessions against a ``repro serve`` subprocess and asserts its resident set stays bounded — the acceptance
 bar in docs/SERVICE.md.
 """
 
@@ -54,7 +53,7 @@ def fetch_stats(host, port):
 def test_1k_idle_sessions_single_thread():
     """Tier-1 smoke: 1000 open sessions on one event-loop thread."""
     sockets = []
-    with ServiceServer(shards=1, backend="async").start() as server:
+    with ServiceServer(shards=1).start() as server:
         try:
             for i in range(1000):
                 sockets.append(open_idle_session(server.host, server.port, i))
@@ -86,7 +85,7 @@ def test_10k_idle_sessions_bounded_rss(tmp_path):
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro.cli", "serve",
-            "--port", "0", "--backend", "async", "--shards", "1",
+            "--port", "0", "--shards", "1",
             "--ready-file", str(ready),
         ],
         cwd=str(Path(__file__).resolve().parent.parent),

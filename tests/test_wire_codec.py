@@ -1,6 +1,6 @@
 """Sans-IO codec equivalence: incremental decode == one-shot decode.
 
-The event-loop backend feeds :class:`~repro.service.protocol.FrameDecoder`
+The server's event loop feeds :class:`~repro.service.protocol.FrameDecoder`
 whatever chunks ``recv`` happens to return, so the decoder must produce
 byte-identical frames — and raise the *same* typed
 :class:`~repro.service.protocol.WireError` on the same broken input —
@@ -8,7 +8,7 @@ no matter how the stream is split. This suite drives the decoder
 byte-at-a-time and through hypothesis-chosen random splits against the
 one-shot :func:`~repro.service.protocol.decode_frame` as ground truth,
 plus the ring-buffer/counter plumbing ``service-stats`` reports and the
-:func:`~repro.service.protocol.read_frame` deprecation shim.
+blocking :class:`~repro.service.protocol.FrameStream` shim.
 """
 
 import io
@@ -27,7 +27,6 @@ from repro.service.protocol import (
     decode_frame,
     encode_frame,
     encode_json,
-    read_frame,
 )
 
 
@@ -211,13 +210,3 @@ def test_frame_stream_eof_semantics():
     with pytest.raises(FrameError, match="truncated"):
         FrameStream(io.BytesIO(frame[:-1])).read_frame()
 
-
-def test_read_frame_shim_is_deprecated_but_correct():
-    frame = encode_frame(FrameType.REPORT, b"{}")
-    with pytest.warns(DeprecationWarning, match="read_frame is deprecated"):
-        assert read_frame(io.BytesIO(frame)) == (FrameType.REPORT, b"{}")
-    stream = io.BytesIO(frame + frame)
-    with pytest.warns(DeprecationWarning):
-        # Reads exactly one frame: the second stays for the next caller.
-        assert read_frame(stream) == (FrameType.REPORT, b"{}")
-    assert stream.read() == frame
