@@ -9,7 +9,7 @@
 
 import pytest
 
-from repro.core.checker import make_checker
+from repro.api import make_checker
 from repro.core.vector_clock import VectorClock
 
 from benchmarks.conftest import trace_for

@@ -22,7 +22,7 @@ import random
 
 import pytest
 
-from repro.core.checker import make_checker
+from repro.api import make_checker
 
 from benchmarks.conftest import trace_for
 

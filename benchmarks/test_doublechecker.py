@@ -10,7 +10,7 @@ on violating workloads.
 
 import pytest
 
-from repro.core.checker import make_checker
+from repro.api import make_checker
 
 from benchmarks.conftest import trace_for
 

@@ -10,7 +10,7 @@ import io
 
 import pytest
 
-from repro.core.checker import make_checker
+from repro.api import make_checker
 from repro.trace.binary import read_binary, write_binary
 from repro.trace.parser import parse_trace
 from repro.trace.writer import dump_trace

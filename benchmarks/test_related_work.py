@@ -18,7 +18,7 @@ import pytest
 from repro.analysis.lockset import LocksetAnalyzer
 from repro.baselines.atomizer import AtomizerChecker
 from repro.baselines.lock_models import FarzanMadhusudanChecker, LockModel
-from repro.core.checker import make_checker
+from repro.api import make_checker
 
 from benchmarks.conftest import trace_for
 

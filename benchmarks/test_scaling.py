@@ -7,7 +7,7 @@ roughly double per step while Velodrome's roughly quadruples.
 
 import pytest
 
-from repro.core.checker import make_checker
+from repro.api import make_checker
 
 from benchmarks.conftest import trace_for
 

@@ -13,7 +13,7 @@ plain single-pass run:
 
 import pytest
 
-from repro.core.checker import make_checker
+from repro.api import make_checker
 from repro.core.multi import find_all_violations
 from repro.core.sharded import ShardedAeroDromeChecker
 from repro.core.snapshot import snapshot

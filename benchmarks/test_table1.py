@@ -12,7 +12,7 @@ against the paper's Table 1 via ``python -m repro.cli table1``.
 
 import pytest
 
-from repro.core.checker import make_checker
+from repro.api import make_checker
 from repro.sim.workloads.benchmarks import TABLE1
 
 from benchmarks.conftest import trace_for

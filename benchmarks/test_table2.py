@@ -8,7 +8,7 @@ AeroDrome because vector-clock maintenance does not pay off.
 
 import pytest
 
-from repro.core.checker import make_checker
+from repro.api import make_checker
 from repro.sim.workloads.benchmarks import TABLE2
 
 from benchmarks.conftest import trace_for

@@ -11,7 +11,7 @@ serializable under every schedule while the racy one is caught.
 Run:  python examples/bank_accounts.py
 """
 
-from repro import check_trace
+from repro import check
 from repro.sim.runtime import execute
 from repro.sim.scheduler import RandomScheduler
 from repro.sim.workloads.patterns import bank_transfer
@@ -24,7 +24,7 @@ def survey(guarded: bool, schedules: int = 25) -> None:
     first_witness = None
     for seed in range(schedules):
         trace = execute(program, RandomScheduler(seed=seed))
-        result = check_trace(trace)
+        result = check(trace)
         if not result.serializable:
             violations += 1
             if first_witness is None:

@@ -12,7 +12,7 @@ Run:  python examples/live_instrumentation.py
 
 import threading
 
-from repro import TraceRecorder, check_trace, explain, find_races, metainfo
+from repro import TraceRecorder, check, explain, find_races, metainfo
 
 
 def buggy_run() -> None:
@@ -54,7 +54,7 @@ def buggy_run() -> None:
 
     trace = recorder.trace()
     print(f"  recorded {metainfo(trace)}")
-    result = check_trace(trace)
+    result = check(trace)
     print(f"  AeroDrome: {result}")
     explanation = explain(trace)
     if explanation is not None:
@@ -94,7 +94,7 @@ def fixed_run() -> None:
 
     trace = recorder.trace()
     print(f"  recorded {metainfo(trace)}")
-    print(f"  AeroDrome: {check_trace(trace)}")
+    print(f"  AeroDrome: {check(trace)}")
     print(f"  FastTrack: {len(find_races(trace))} HB data race(s)")
 
 

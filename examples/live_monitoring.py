@@ -22,7 +22,7 @@ Run:  python examples/live_monitoring.py
 
 import threading
 
-from repro import LiveMonitor, check_trace
+from repro import LiveMonitor, check
 from repro.spec.inference import infer_spec
 from repro.trace.filters import apply_spec
 
@@ -79,7 +79,7 @@ def main() -> None:
     repaired = apply_spec(trace, inferred.spec)
     print(
         "  filtered trace under inferred spec: "
-        f"{check_trace(repaired)}"
+        f"{check(repaired)}"
     )
 
 

@@ -16,7 +16,7 @@ verdict matrix, making the two classic disagreements visible:
 Run:  python examples/related_work.py
 """
 
-from repro import check_trace, conflict_serializable
+from repro import check, conflict_serializable
 from repro.baselines.atomizer import AtomizerChecker
 from repro.baselines.lock_models import FarzanMadhusudanChecker, LockModel
 from repro.sim import trace_zoo
@@ -24,10 +24,10 @@ from repro.sim import trace_zoo
 #: (column label, function building a fresh checker-result verdict)
 CHECKERS = [
     ("oracle", lambda t: conflict_serializable(t)),
-    ("aerodrome", lambda t: check_trace(t, "aerodrome").serializable),
-    ("velodrome", lambda t: check_trace(t, "velodrome").serializable),
-    ("velodr-pk", lambda t: check_trace(t, "velodrome-pk").serializable),
-    ("dblcheck", lambda t: check_trace(t, "doublechecker").serializable),
+    ("aerodrome", lambda t: check(t, algorithm="aerodrome").serializable),
+    ("velodrome", lambda t: check(t, algorithm="velodrome").serializable),
+    ("velodr-pk", lambda t: check(t, algorithm="velodrome-pk").serializable),
+    ("dblcheck", lambda t: check(t, algorithm="doublechecker").serializable),
     ("atomizer", lambda t: AtomizerChecker().run(t).serializable),
     ("fm-nolock", lambda t: FarzanMadhusudanChecker(LockModel.IGNORED).run(t).serializable),
 ]

@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from repro import (
-    check_trace,
+    check,
     event_graph_dot,
     find_all_violations,
     format_profile,
@@ -40,7 +40,7 @@ def find_violating_execution():
     program = map_reduce(n_mappers=3, guarded=False)
     for seed in range(100):
         trace = execute(program, RandomScheduler(seed=seed))
-        if not check_trace(trace).serializable:
+        if not check(trace).serializable:
             return seed, trace
     raise SystemExit("no violating schedule in 100 seeds (unexpected)")
 

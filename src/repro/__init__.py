@@ -9,7 +9,7 @@ harness regenerating the paper's Tables 1 and 2.
 
 Quickstart::
 
-    from repro import check_trace, parse_trace
+    from repro import check, parse_trace
 
     trace = parse_trace('''
         t1|begin
@@ -21,7 +21,7 @@ Quickstart::
         t1|r(y)
         t1|end
     ''')
-    result = check_trace(trace)          # optimized AeroDrome
+    result = check(trace)                # optimized AeroDrome
     print(result.serializable)            # False
     print(result.violation)               # where and why
 
@@ -41,7 +41,9 @@ from .api import (
     Session,
     SessionResult,
     available_analyses,
+    check,
     create_analysis,
+    make_checker,
     register_analysis,
     run,
 )
@@ -62,12 +64,7 @@ from .baselines.oracle import conflict_serializable, violation_witness
 from .baselines.velodrome import VelodromeChecker
 from .core.aerodrome import AeroDromeChecker
 from .core.aerodrome_opt import OptimizedAeroDromeChecker
-from .core.checker import (
-    StreamingChecker,
-    available_algorithms,
-    check_trace,
-    make_checker,
-)
+from .core.checker import StreamingChecker
 from .core.multi import find_all_violations, violation_stream
 from .core.sharded import ShardedAeroDromeChecker
 from .core.snapshot import (
@@ -117,10 +114,9 @@ __all__ = [
     "available_analyses",
     "create_analysis",
     "register_analysis",
-    # checking (deprecated facades delegate to repro.api)
-    "check_trace",
+    # checking
+    "check",
     "make_checker",
-    "available_algorithms",
     "StreamingChecker",
     "AeroDromeChecker",
     "OptimizedAeroDromeChecker",

@@ -47,9 +47,9 @@ def _subtrace(trace: Trace, units: Sequence[List[int]], keep: Sequence[bool]) ->
 
 
 def _violates(trace: Trace, algorithm: str) -> bool:
-    from ..api.session import check as check_trace
+    from ..api.session import check
 
-    return not check_trace(trace, algorithm=algorithm).serializable
+    return not check(trace, algorithm=algorithm).serializable
 
 
 def minimize_violation(

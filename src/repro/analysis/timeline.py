@@ -97,8 +97,8 @@ def render_with_verdict(trace: Trace, algorithm: str = "aerodrome") -> str:
     Convenience used by the CLI: runs ``algorithm``, draws the columns
     with the violation row marked, and adds a one-line verdict footer.
     """
-    from ..api.session import check as check_trace
+    from ..api.session import check
 
-    result = check_trace(trace, algorithm=algorithm)
+    result = check(trace, algorithm=algorithm)
     body = render_columns(trace, violation=result.violation)
     return f"{body}\n\n{result}"

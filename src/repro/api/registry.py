@@ -1,8 +1,8 @@
 """Central analysis registry — the one front door to every analysis.
 
-Replaces the private ``_registry()`` in :mod:`repro.core.checker` and
-the hand-maintained imports in :mod:`repro.cli`. Three name families
-live here:
+Every caller that resolves an analysis or a checker by name — the
+session, the CLI, the service — goes through this table. Three name
+families live here:
 
 * **checker algorithms** (``aerodrome``, ``velodrome``, …) — every
   :class:`~repro.core.checker.StreamingChecker`, instantiable directly
@@ -65,11 +65,7 @@ def checker_names() -> List[str]:
 
 
 def make_checker(algorithm: str = "aerodrome"):
-    """Instantiate a fresh :class:`StreamingChecker` by registry name.
-
-    The non-deprecated home of what ``repro.core.checker.make_checker``
-    used to do (that facade now delegates here, with a warning).
-    """
+    """Instantiate a fresh :class:`StreamingChecker` by registry name."""
     registry = _checker_factories()
     try:
         factory = registry[algorithm]

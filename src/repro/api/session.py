@@ -19,7 +19,7 @@ event sweep:
 
 When the session holds exactly one stop-first checker, it delegates to
 the checker's own (possibly inlined) ``run``/``run_packed`` hot loop —
-so the ``check_trace`` facade loses nothing by routing through here.
+so :func:`check` loses nothing by routing through here.
 
 Sessions can also run **incrementally**: construct one with
 ``trace=None`` and push events as they arrive with :meth:`Session.feed`
@@ -471,12 +471,11 @@ def check(
 ):
     """Check a trace for atomicity violations — the session-era front door.
 
-    Drop-in successor of :func:`repro.core.checker.check_trace` (which
-    now delegates here): same arguments, same
-    :class:`~repro.core.violations.CheckResult` return, same
-    :class:`~repro.core.violations.AtomicityViolationError` behavior —
-    routed through a single-analysis :class:`Session`, which delegates
-    to the checker's own hot loop.
+    Returns the checker's :class:`~repro.core.violations.CheckResult`;
+    with ``raise_on_violation`` a violation raises
+    :class:`~repro.core.violations.AtomicityViolationError` instead.
+    Runs through a single-analysis :class:`Session`, which delegates to
+    the checker's own hot loop.
     """
     from ..core.violations import AtomicityViolationError
 

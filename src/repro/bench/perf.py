@@ -9,7 +9,7 @@ then times three checkers on identical input:
   the frozen pre-packed-trace implementation (list-backed clocks,
   per-event string interning). This is the "before" build every speedup
   is quoted against.
-* ``string`` — the current :func:`~repro.core.checker.make_checker`
+* ``string`` — the current :func:`~repro.api.make_checker`
   checker fed string events through its adapter ``process`` API.
 * ``packed`` — the same checker consuming the packed trace through
   ``run_packed``.
@@ -839,103 +839,8 @@ def write_report(report: Dict, path) -> None:
     Path(path).write_text(json.dumps(report, indent=2, sort_keys=False) + "\n")
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI driver shared by ``repro bench`` and benchmarks/perf_harness.py."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro bench",
-        description="packed-vs-seed throughput benchmark (BENCH_PR8.json)",
-    )
-    parser.add_argument("--scale", type=float, default=1.0)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument(
-        "--algorithm", default="aerodrome",
-        help="registry name of the checker under test",
-    )
-    parser.add_argument(
-        "--tables", default="1,2",
-        help="comma-separated tables to run (default: 1,2)",
-    )
-    parser.add_argument(
-        "--no-scaling", action="store_true", help="skip the scaling sweep"
-    )
-    parser.add_argument(
-        "--no-session",
-        action="store_true",
-        help="skip the one-pass vs N-pass session comparison column",
-    )
-    parser.add_argument(
-        "--no-ingest",
-        action="store_true",
-        help="skip the cold-start ingest split (parse/pack/load timings)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=2,
-        help="workers for the serial-vs-parallel session column "
-        "(0 or 1 skips it; default 2)",
-    )
-    parser.add_argument(
-        "--no-service",
-        action="store_true",
-        help="skip the streamed-vs-offline service block",
-    )
-    parser.add_argument(
-        "--no-cluster",
-        action="store_true",
-        help="skip the 1-node vs 3-node ring comparison",
-    )
-    parser.add_argument(
-        "-o", "--output", default="BENCH_PR8.json",
-        help="where to write the JSON report",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit nonzero unless every path agrees on every workload "
-        "(including reloaded traces, parallel sessions and streamed "
-        "service sessions)",
-    )
-    parser.add_argument(
-        "--runs-dir", default="runs",
-        help="also mirror the artifact into a 'repro diff'-able run-id "
-        "directory under this root (default: runs/)",
-    )
-    parser.add_argument(
-        "--no-runs-dir", action="store_true",
-        help="write only the flat -o artifact",
-    )
-    args = parser.parse_args(argv)
-    try:
-        tables = tuple(int(t) for t in args.tables.split(",") if t)
-    except ValueError:
-        parser.error(f"--tables expects comma-separated table numbers, got {args.tables!r}")
-    if not set(tables) <= {1, 2}:
-        parser.error(f"--tables knows tables 1 and 2, got {args.tables!r}")
-    report = run_bench(
-        scale=args.scale,
-        seed=args.seed,
-        repeats=args.repeats,
-        algorithm=args.algorithm,
-        tables=tables,
-        scaling_sizes=() if args.no_scaling else SCALING_SIZES,
-        session=not args.no_session,
-        ingest=not args.no_ingest,
-        jobs=args.jobs,
-        service=not args.no_service,
-        cluster=not args.no_cluster,
-    )
-    write_report(report, args.output)
-    if not args.no_runs_dir and args.runs_dir:
-        # The flat artifact stays for backward compatibility; the
-        # run-id directory is the 'repro diff'-able golden path.
-        from ..obs.experiment import store_bench_run
-
-        stored = store_bench_run(report, args.runs_dir)
-        print(f"run {stored['run_id']} -> {stored['run_dir']}")
+def print_summary(report: Dict) -> None:
+    """Print the human-readable digest of a :func:`run_bench` report."""
     summary = report["summary"]
     table1 = summary.get("table1") or {}
     if table1:
@@ -987,11 +892,3 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"cluster: offline {cluster_summary['offline_eps']:.0f} ev/s; "
             f"{ring_eps}; agree={cluster_summary['all_agree']}"
         )
-    print(f"wrote {args.output} (all_agree={summary['all_agree']})")
-    if args.check and not summary["all_agree"]:
-        print(
-            "FAIL: a path disagrees (packed/string, reloaded, or parallel)",
-            file=sys.stderr,
-        )
-        return 1
-    return 0

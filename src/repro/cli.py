@@ -109,13 +109,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         except WellFormednessError as error:
             print(f"ill-formed trace: {error}", file=sys.stderr)
             return 2
-    if args.analysis:
-        names = [name.strip() for name in args.analysis.split(",") if name.strip()]
-        # An explicitly requested --algorithm still runs alongside.
-        if args.algorithm is not None and args.algorithm not in names:
-            names.insert(0, args.algorithm)
-    else:
-        names = [args.algorithm or "aerodrome"]
+    requested = args.analysis or "aerodrome"
+    names = [name.strip() for name in requested.split(",") if name.strip()]
     result = _run_session(args, names, trace=trace)
     if args.json:
         _emit_json(result)
@@ -611,36 +606,61 @@ def _table_command(args: argparse.Namespace, cases) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    # Reuses the perf harness's own argv parsing so the flags of
-    # ``repro bench`` and ``benchmarks/perf_harness.py`` cannot drift.
-    from .bench.perf import main as bench_main
+    # Imported here: the harness costs every `repro serve` start-up
+    # ~30 ms of imports it never uses.
+    from .bench.perf import (
+        SCALING_SIZES,
+        print_summary,
+        run_bench,
+        write_report,
+    )
 
-    argv = [
-        "--scale", str(args.scale),
-        "--seed", str(args.seed),
-        "--repeats", str(args.repeats),
-        "--algorithm", args.algorithm,
-        "--tables", args.tables,
-        "--jobs", str(args.jobs),
-        "-o", args.output,
-    ]
-    if args.no_scaling:
-        argv.append("--no-scaling")
-    if args.no_session:
-        argv.append("--no-session")
-    if args.no_ingest:
-        argv.append("--no-ingest")
-    if args.no_service:
-        argv.append("--no-service")
-    if args.no_cluster:
-        argv.append("--no-cluster")
-    if args.check:
-        argv.append("--check")
-    if args.no_runs_dir:
-        argv.append("--no-runs-dir")
-    elif args.runs_dir:
-        argv.extend(["--runs-dir", args.runs_dir])
-    return bench_main(argv)
+    report = run_bench(
+        scale=args.scale,
+        seed=args.seed,
+        repeats=args.repeats,
+        algorithm=args.algorithm,
+        tables=args.tables,
+        scaling_sizes=() if args.no_scaling else SCALING_SIZES,
+        session=not args.no_session,
+        ingest=not args.no_ingest,
+        jobs=args.jobs,
+        service=not args.no_service,
+        cluster=not args.no_cluster,
+    )
+    write_report(report, args.output)
+    if not args.no_runs_dir and args.runs_dir:
+        # The flat artifact stays for backward compatibility; the
+        # run-id directory is the 'repro diff'-able golden path.
+        from .obs.experiment import store_bench_run
+
+        stored = store_bench_run(report, args.runs_dir)
+        print(f"run {stored['run_id']} -> {stored['run_dir']}")
+    print_summary(report)
+    all_agree = report["summary"]["all_agree"]
+    print(f"wrote {args.output} (all_agree={all_agree})")
+    if args.check and not all_agree:
+        print(
+            "FAIL: a path disagrees (packed/string, reloaded, or parallel)",
+            file=sys.stderr,
+        )
+        return 1
+    return 0
+
+
+def _bench_tables(value: str) -> tuple:
+    """``--tables`` parser: comma-separated paper tables, 1 and/or 2."""
+    try:
+        tables = tuple(int(t) for t in value.split(",") if t)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expects comma-separated table numbers, got {value!r}"
+        ) from None
+    if not set(tables) <= {1, 2}:
+        raise argparse.ArgumentTypeError(
+            f"knows tables 1 and 2, got {value!r}"
+        )
+    return tables
 
 
 def _cmd_scaling(args: argparse.Namespace) -> int:
@@ -908,15 +928,8 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--analysis",
         metavar="A,B,C",
-        help="comma-separated registered analyses to co-run on one sweep "
-        f"(any of: {', '.join(available_analyses())})",
-    )
-    check.add_argument(
-        "--algorithm",
-        default=None,
-        choices=checker_names(),
-        help="deprecated alias: checker to run, default aerodrome "
-        "(use --analysis; given together, both run)",
+        help="comma-separated registered analyses to co-run on one sweep, "
+        f"default aerodrome (any of: {', '.join(available_analyses())})",
     )
     check.add_argument(
         "--no-validate",
@@ -1285,9 +1298,17 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--scale", type=float, default=1.0)
     bench.add_argument("--seed", type=int, default=7)
     bench.add_argument("--repeats", type=int, default=3)
-    bench.add_argument("--algorithm", default="aerodrome")
-    bench.add_argument("--tables", default="1,2")
-    bench.add_argument("--no-scaling", action="store_true")
+    bench.add_argument(
+        "--algorithm", default="aerodrome",
+        help="registry name of the checker under test",
+    )
+    bench.add_argument(
+        "--tables", type=_bench_tables, default="1,2",
+        help="comma-separated tables to run (default: 1,2)",
+    )
+    bench.add_argument(
+        "--no-scaling", action="store_true", help="skip the scaling sweep"
+    )
     bench.add_argument(
         "--no-session",
         action="store_true",
@@ -1315,7 +1336,10 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the 1-node vs 3-node ring comparison",
     )
-    bench.add_argument("-o", "--output", default="BENCH_PR8.json")
+    bench.add_argument(
+        "-o", "--output", default="BENCH_PR8.json",
+        help="where to write the JSON report",
+    )
     bench.add_argument(
         "--check",
         action="store_true",

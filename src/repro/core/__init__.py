@@ -2,12 +2,7 @@
 
 from .aerodrome import AeroDromeChecker
 from .aerodrome_opt import OptimizedAeroDromeChecker
-from .checker import (
-    StreamingChecker,
-    available_algorithms,
-    check_trace,
-    make_checker,
-)
+from .checker import StreamingChecker
 from .multi import find_all_violations, violation_stream
 from .sharded import ShardedAeroDromeChecker, SyncStats
 from .snapshot import (
@@ -27,9 +22,6 @@ __all__ = [
     "ShardedAeroDromeChecker",
     "SyncStats",
     "StreamingChecker",
-    "check_trace",
-    "make_checker",
-    "available_algorithms",
     "violation_stream",
     "find_all_violations",
     "snapshot",

@@ -1,4 +1,10 @@
-"""Streaming checker interface and the ``check_trace`` facade."""
+"""The streaming checker interface and the packed-step helpers every
+checker shares.
+
+Checkers are instantiated by registry name through
+:func:`repro.api.make_checker`, and whole traces are checked with
+:func:`repro.api.check`.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +13,7 @@ from typing import Callable, Dict, Iterable, Optional
 
 from ..trace.events import Event
 from ..trace.packed import PackedTrace
-from .violations import AtomicityViolationError, CheckResult, Violation
+from .violations import CheckResult, Violation
 
 
 class StreamingChecker(ABC):
@@ -178,86 +184,3 @@ def make_packed_step(
 
     return step
 
-
-# ---------------------------------------------------------------------------
-# Deprecated facade.
-#
-# The registry and the check facade moved to :mod:`repro.api` (PR 3's
-# unified analysis-session front door). The names below keep every old
-# caller working by delegating there, with a DeprecationWarning.
-# ---------------------------------------------------------------------------
-
-
-def _registry() -> Dict[str, Callable[[], StreamingChecker]]:
-    # Kept (without a warning) because a few tests and downstreams poke
-    # at it; the authoritative table now lives in repro.api.registry.
-    from ..api.registry import _checker_factories
-
-    return _checker_factories()
-
-
-def _deprecated(old: str, new: str) -> None:
-    import warnings
-
-    warnings.warn(
-        f"repro.core.checker.{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def available_algorithms() -> list:
-    """Names accepted by :func:`check_trace` and the CLI.
-
-    .. deprecated:: 1.1
-        Use :func:`repro.api.checker_names` (checkers only) or
-        :func:`repro.api.available_analyses` (everything).
-    """
-    _deprecated("available_algorithms", "repro.api.checker_names")
-    from ..api.registry import checker_names
-
-    return checker_names()
-
-
-def make_checker(algorithm: str = "aerodrome") -> StreamingChecker:
-    """Instantiate a fresh checker by algorithm name.
-
-    .. deprecated:: 1.1
-        Use :func:`repro.api.make_checker`.
-    """
-    _deprecated("make_checker", "repro.api.make_checker")
-    from ..api.registry import make_checker as api_make_checker
-
-    return api_make_checker(algorithm)
-
-
-def check_trace(
-    events: Iterable[Event],
-    algorithm: str = "aerodrome",
-    raise_on_violation: bool = False,
-) -> CheckResult:
-    """Check a trace (or any event stream) for atomicity violations.
-
-    .. deprecated:: 1.1
-        Use :func:`repro.api.check` (same signature and return), or a
-        :class:`repro.api.Session` to co-run several analyses on one
-        ingest. This facade delegates to ``repro.api.check``.
-
-    Args:
-        events: A :class:`~repro.trace.trace.Trace` or any iterable of
-            events.
-        algorithm: One of :func:`available_algorithms` (default: the
-            optimized AeroDrome).
-        raise_on_violation: If ``True``, raise
-            :class:`AtomicityViolationError` instead of returning a
-            violating result.
-
-    Returns:
-        The :class:`CheckResult` verdict.
-    """
-    _deprecated("check_trace", "repro.api.check")
-    from ..api.session import check
-
-    return check(
-        events, algorithm=algorithm, raise_on_violation=raise_on_violation
-    )

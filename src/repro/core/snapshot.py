@@ -129,15 +129,18 @@ def save_checkpoint(
 ) -> Checkpoint:
     """Snapshot ``checker`` and write the checkpoint to ``path``."""
     checkpoint = snapshot(checker)
-    with open(path, "wb") as handle:
-        pickle.dump(checkpoint, handle, protocol=pickle.HIGHEST_PROTOCOL)
+    Path(path).write_bytes(freeze(checkpoint, what="checkpoint file"))
     return checkpoint
 
 
 def load_checkpoint(path: Union[str, Path]) -> StreamingChecker:
-    """Load a checkpoint file written by :func:`save_checkpoint`."""
-    with open(path, "rb") as handle:
-        checkpoint = pickle.load(handle)
+    """Load a checkpoint file written by :func:`save_checkpoint`.
+
+    Raises:
+        CheckpointError: If the file is truncated, corrupt, or holds
+            anything but a :class:`Checkpoint`.
+    """
+    checkpoint = thaw(Path(path).read_bytes(), what=f"checkpoint file {path}")
     if not isinstance(checkpoint, Checkpoint):
         raise CheckpointError(f"{path} does not contain a Checkpoint")
     return restore(checkpoint)

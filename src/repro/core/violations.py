@@ -35,7 +35,7 @@ class Violation:
 
 
 class AtomicityViolationError(RuntimeError):
-    """Raised by ``check_trace(..., raise_on_violation=True)``."""
+    """Raised by ``repro.api.check(..., raise_on_violation=True)``."""
 
     def __init__(self, violation: Violation) -> None:
         self.violation = violation

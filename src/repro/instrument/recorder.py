@@ -6,7 +6,7 @@ would actually adopt: wrap your shared state in :class:`SharedVar`, your
 locks in :class:`TracedLock`, mark intended-atomic regions with
 :meth:`TraceRecorder.atomic`, and spawn threads through the recorder —
 every run of your *real threaded code* yields a well-formed trace ready
-for ``check_trace``.
+for :func:`repro.api.check`.
 
 Event ordering is made consistent with the actual synchronization:
 

@@ -167,46 +167,22 @@ class RecoveryManager:
         """
         checkpoint = checkpoint_session(session)
         blob = freeze(checkpoint, what=f"spool entry {session.session_id}")
-        crc, length = zlib.crc32(blob), len(blob)
         action = fire("spool.write", key=session.session_id)
         if action is not None and action.op == "enospc":
             raise RecoveryError(
                 f"cannot spool session {session.session_id!r}: "
                 f"[injected] {os.strerror(errno.ENOSPC)}"
             )
+        self.save_payload(session.session_id, blob)
+        target = self.path_for(session.session_id)
         if action is not None and action.op == "torn":
             # A torn write: the header (intended CRC + length) lands,
             # but only a prefix of the payload reaches disk — simulates
-            # a non-atomic writer / lying disk. load()'s length check
-            # makes the damage detectable instead of deserializable.
-            blob = blob[: max(1, len(blob) // 2)]
-        raw_id = session.session_id.encode("utf-8")
-        target = self.path_for(session.session_id)
-        fd, tmp = tempfile.mkstemp(
-            dir=str(self.spool), prefix=target.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(SPOOL_MAGIC)
-                handle.write(_HEADER_LEN.pack(len(raw_id)))
-                handle.write(raw_id)
-                handle.write(_PAYLOAD_META.pack(crc, length))
-                handle.write(blob)
-            os.replace(tmp, target)
-        except OSError as exc:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise RecoveryError(
-                f"cannot spool session {session.session_id!r}: {exc}"
-            ) from exc
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+            # a non-atomic writer / lying disk. load_payload()'s length
+            # check makes the damage detectable instead of
+            # deserializable.
+            size = target.stat().st_size
+            os.truncate(target, size - len(blob) + max(1, len(blob) // 2))
         if action is not None and action.op == "corrupt":
             _flip_byte(target, action)
         return checkpoint
@@ -244,28 +220,12 @@ class RecoveryManager:
             RecoveryError: If missing, truncated, or failing its CRC.
             CheckpointError: If the verified payload will not thaw.
         """
-        path = self.path_for(session_id)
-        try:
-            with open(path, "rb") as handle:
-                _, crc, payload_length = self._read_header(handle)
-                blob = handle.read()
-        except OSError as exc:
-            raise RecoveryError(
-                f"no spooled checkpoint for session {session_id!r}: {exc}"
-            ) from exc
-        if len(blob) != payload_length:
-            raise RecoveryError(
-                f"spool entry {path.name}: payload is {len(blob)} bytes, "
-                f"header claims {payload_length} (truncated or torn write)"
-            )
-        if zlib.crc32(blob) != crc:
-            raise RecoveryError(
-                f"spool entry {path.name}: payload CRC mismatch (corrupt)"
-            )
+        blob = self.load_payload(session_id)
         checkpoint = thaw(blob, what=f"spool entry {session_id}")
         if not isinstance(checkpoint, SessionCheckpoint):
             raise RecoveryError(
-                f"{path} does not contain a SessionCheckpoint"
+                f"{self.path_for(session_id)} does not contain a "
+                "SessionCheckpoint"
             )
         return checkpoint
 
@@ -278,12 +238,13 @@ class RecoveryManager:
     def save_payload(self, session_id: str, blob: bytes) -> None:
         """Spool an already-frozen checkpoint blob under ``session_id``.
 
-        The cluster handoff path ships the *exact* frozen
+        The one spool writer: :meth:`save` writes through it, and the
+        cluster handoff path ships the *exact* frozen
         :class:`SessionCheckpoint` bytes a spool entry stores (see
-        :meth:`load_payload`); writing them back through this method
-        produces a spool entry indistinguishable from a local
-        :meth:`save` — same atomic replace, same header CRC — so the
-        receiving node's ordinary recovery path can adopt it.
+        :meth:`load_payload`), so an entry written back here is
+        indistinguishable from a local :meth:`save` — same atomic
+        replace, same header CRC — and the receiving node's ordinary
+        recovery path can adopt it.
 
         Raises:
             RecoveryError: If the entry cannot be written.

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional
 
-from ..api.session import check as check_trace
+from ..api.session import check
 from ..trace.events import Event, Op
 from ..trace.trace import Trace
 from .program import (
@@ -182,7 +182,7 @@ def explore(
     result = ExplorationResult()
     for trace in enumerate_schedules(program, max_schedules=max_schedules):
         result.schedules += 1
-        verdict = check_trace(trace, algorithm=algorithm)
+        verdict = check(trace, algorithm=algorithm)
         if not verdict.serializable:
             result.violating += 1
             if result.witness is None:
@@ -228,7 +228,7 @@ def fuzz(
     for i in range(schedules):
         trace = execute(program, make_scheduler(seed + i))
         result.schedules += 1
-        verdict = check_trace(trace, algorithm=algorithm)
+        verdict = check(trace, algorithm=algorithm)
         if not verdict.serializable:
             result.violating += 1
             if result.witness is None:

@@ -137,9 +137,9 @@ def infer_spec(
         iterations += 1
         spec = AtomicitySpec.of(atomic, name=name)
         filtered = apply_spec(trace, spec)
-        from ..api.session import check as check_trace
+        from ..api.session import check
 
-        result = check_trace(filtered, algorithm=algorithm)
+        result = check(filtered, algorithm=algorithm)
         if result.serializable:
             return InferredSpec(
                 spec=spec,

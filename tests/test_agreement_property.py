@@ -9,7 +9,7 @@ conflict serializability per Definition 1.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import check_trace, conflict_serializable
+from repro import check, conflict_serializable
 from repro.sim.random_traces import RandomTraceConfig, random_trace
 
 ALGORITHMS = [
@@ -26,7 +26,7 @@ ALGORITHMS = [
 def assert_all_agree(trace):
     expected = conflict_serializable(trace)
     for algorithm in ALGORITHMS:
-        result = check_trace(trace, algorithm=algorithm)
+        result = check(trace, algorithm=algorithm)
         assert result.serializable == expected, (
             f"{algorithm} disagrees with oracle on {trace.name}: "
             f"{result.serializable} != {expected}\n"

@@ -292,24 +292,9 @@ class TestJsonSchema:
                 validate_report(document)
 
 
-class TestDeprecatedFacades:
-    def test_check_trace_warns_and_delegates(self, rho2):
-        from repro import check_trace
+def test_top_level_reexports_the_api_front_door():
+    import repro
+    import repro.api
 
-        with pytest.warns(DeprecationWarning, match="repro.api.check"):
-            result = check_trace(rho2)
-        assert result == check(rho2)
-
-    def test_make_checker_warns(self):
-        from repro import make_checker as old_make_checker
-
-        with pytest.warns(DeprecationWarning):
-            checker = old_make_checker("velodrome")
-        assert checker.algorithm == "velodrome"
-
-    def test_available_algorithms_warns(self):
-        from repro import available_algorithms
-
-        with pytest.warns(DeprecationWarning):
-            names = available_algorithms()
-        assert names == sorted(names)
+    assert repro.check is repro.api.check
+    assert repro.make_checker is repro.api.make_checker

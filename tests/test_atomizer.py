@@ -12,7 +12,7 @@ from repro import (
     Trace,
     acquire,
     begin,
-    check_trace,
+    check,
     conflict_serializable,
     end,
     fork,
@@ -169,7 +169,7 @@ def test_false_positive_from_fork_join_blindness():
         ]
     )
     assert conflict_serializable(trace)
-    assert check_trace(trace).serializable
+    assert check(trace).serializable
     assert not run_atomizer(trace).serializable
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import check_trace, metainfo, validate
+from repro import check, metainfo, validate
 from repro.sim.workloads.benchmarks import (
     ALL_CASES,
     CASES_BY_NAME,
@@ -58,14 +58,14 @@ class TestEveryCase:
 
     def test_verdict_matches_design(self, case):
         trace = case.generate(seed=3, scale=SMALL)
-        result = check_trace(trace, "aerodrome")
+        result = check(trace, algorithm="aerodrome")
         assert result.serializable == (case.violation_at is None), case.name
 
     def test_checkers_agree(self, case):
         trace = case.generate(seed=3, scale=SMALL)
-        aero = check_trace(trace, "aerodrome")
-        basic = check_trace(trace, "aerodrome-basic")
-        velo = check_trace(trace, "velodrome")
+        aero = check(trace, algorithm="aerodrome")
+        basic = check(trace, algorithm="aerodrome-basic")
+        velo = check(trace, algorithm="velodrome")
         assert aero.serializable == basic.serializable == velo.serializable
 
     def test_deterministic(self, case):
@@ -84,14 +84,14 @@ class TestViolationPlacement:
     def test_late_violation_found_late(self):
         case = get_case("avrora")
         trace = case.generate(seed=3, scale=0.2)
-        result = check_trace(trace, "aerodrome")
+        result = check(trace, algorithm="aerodrome")
         assert result.violation is not None
         assert result.violation.event_idx > 0.8 * len(trace) * 0.9
 
     def test_early_violation_found_early(self):
         case = get_case("crypt")
         trace = case.generate(seed=3, scale=0.2)
-        result = check_trace(trace, "aerodrome")
+        result = check(trace, algorithm="aerodrome")
         assert result.violation is not None
         assert result.violation.event_idx < 0.1 * len(trace)
 

@@ -1,19 +1,15 @@
-"""Facade API tests: check_trace, registry, error handling."""
+"""Checker front-door tests: check, registry, error handling."""
 
 import pytest
 
-from repro import (
-    AtomicityViolationError,
-    available_algorithms,
-    check_trace,
-    make_checker,
-)
+from repro import AtomicityViolationError, check, make_checker
+from repro.api import checker_names
 from repro.core.checker import StreamingChecker
 
 
 class TestRegistry:
-    def test_available_algorithms(self):
-        names = available_algorithms()
+    def test_checker_names(self):
+        names = checker_names()
         assert names == sorted(names)
         assert {
             "aerodrome",
@@ -33,37 +29,37 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown algorithm"):
             make_checker("quantumdrome")
         with pytest.raises(ValueError, match="unknown algorithm"):
-            check_trace([], algorithm="quantumdrome")
+            check([], algorithm="quantumdrome")
 
 
 class TestCheckTrace:
     def test_default_is_optimized_aerodrome(self, rho2):
-        result = check_trace(rho2)
+        result = check(rho2)
         assert result.algorithm == "aerodrome"
         assert not result.serializable
 
     def test_accepts_iterables(self, rho2):
-        result = check_trace(iter(rho2))
+        result = check(iter(rho2))
         assert not result.serializable
 
     def test_raise_on_violation(self, rho2):
         with pytest.raises(AtomicityViolationError) as excinfo:
-            check_trace(rho2, raise_on_violation=True)
+            check(rho2, raise_on_violation=True)
         assert excinfo.value.violation.thread == "t1"
 
     def test_no_raise_when_serializable(self, rho1):
-        result = check_trace(rho1, raise_on_violation=True)
+        result = check(rho1, raise_on_violation=True)
         assert result.serializable
 
 
 class TestResultObjects:
     def test_result_str(self, rho1, rho2):
-        good = check_trace(rho1)
-        bad = check_trace(rho2)
+        good = check(rho1)
+        bad = check(rho2)
         assert "✓" in str(good)
         assert "✗" in str(bad)
         assert "read check" in str(bad.violation)
 
     def test_events_processed_counts(self, rho1):
-        result = check_trace(rho1)
+        result = check(rho1)
         assert result.events_processed == len(rho1)

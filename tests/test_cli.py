@@ -31,7 +31,13 @@ class TestCheck:
         assert "violation" in capsys.readouterr().out
 
     def test_algorithm_choice(self, violating_trace):
-        assert main(["check", str(violating_trace), "--algorithm", "velodrome"]) == 1
+        assert main(["check", str(violating_trace), "--analysis", "velodrome"]) == 1
+
+    def test_algorithm_alias_removed(self, violating_trace, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check", str(violating_trace), "--algorithm", "velodrome"])
+        assert excinfo.value.code == 2
+        assert "--algorithm" in capsys.readouterr().err
 
     def test_ill_formed_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.std"
@@ -65,8 +71,7 @@ class TestCheck:
         self, violating_trace, capsys
     ):
         code = main(
-            ["check", str(violating_trace),
-             "--algorithm", "velodrome", "--analysis", "races"]
+            ["check", str(violating_trace), "--analysis", "velodrome,races"]
         )
         assert code == 1
         out = capsys.readouterr().out
@@ -165,3 +170,26 @@ class TestAlgorithms:
         out = capsys.readouterr().out
         for name in ("aerodrome", "velodrome", "doublechecker"):
             assert name in out
+
+
+class TestBench:
+    def test_empty_runs_dir_writes_no_mirror(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        code = main(
+            ["bench", "--scale", "0.01", "--repeats", "1", "--tables", "1",
+             "--no-scaling", "--no-session", "--no-ingest", "--jobs", "0",
+             "--no-service", "--no-cluster", "--runs-dir", "",
+             "-o", "bench.json"]
+        )
+        assert code == 0
+        assert (tmp_path / "bench.json").exists()
+        assert not (tmp_path / "runs").exists()
+        assert "wrote bench.json" in capsys.readouterr().out
+
+    def test_bad_tables_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--tables", "3"])
+        assert excinfo.value.code == 2
+        assert "knows tables 1 and 2" in capsys.readouterr().err

@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro import check_trace, explain
+from repro import check, explain
 from repro.analysis.chb import compute_chb
 from repro.sim.random_traces import RandomTraceConfig, random_trace
 
@@ -33,7 +33,7 @@ class TestUnitCases:
 
     def test_prefix_matches_checker_stop_point(self, rho2):
         explanation = explain(rho2)
-        result = check_trace(rho2, "aerodrome-basic")
+        result = check(rho2, algorithm="aerodrome-basic")
         # The oracle's shortest violating prefix is where the streaming
         # checker stops (or earlier, for end-event detections).
         assert explanation.prefix_length <= result.events_processed + 1
@@ -46,7 +46,7 @@ def test_explanations_are_consistent(seed):
         seed, RandomTraceConfig(n_threads=3, n_vars=2, n_locks=1, length=30)
     )
     explanation = explain(trace)
-    verdict = check_trace(trace)
+    verdict = check(trace)
     assert (explanation is None) == verdict.serializable
     if explanation is not None:
         assert len(explanation.edges) == len(explanation.cycle)

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro import Op, TraceRecorder, check_trace, validate
+from repro import Op, TraceRecorder, check, validate
 from repro.trace.metainfo import metainfo
 
 
@@ -125,7 +125,7 @@ class TestEndToEnd:
         recorder.join(t2)
         trace = recorder.trace()
         validate(trace, require_forked_threads=True)
-        result = check_trace(trace)
+        result = check(trace)
         assert not result.serializable
 
     def test_locked_version_is_serializable(self):
@@ -146,6 +146,6 @@ class TestEndToEnd:
             recorder.join(thread)
         trace = recorder.trace()
         validate(trace, require_forked_threads=True)
-        assert check_trace(trace).serializable
+        assert check(trace).serializable
         assert x.get() == 10
         assert metainfo(trace).transactions == 10

@@ -10,7 +10,7 @@ interface drift between modules that unit tests miss.
 import pytest
 
 from repro import (
-    check_trace,
+    check,
     conflict_serializable,
     event_graph_dot,
     infer_spec,
@@ -48,7 +48,7 @@ def test_debugging_pipeline(violating_benchmark):
     assert profile.cross_thread_conflicts > 0
 
     # 2. The checker finds the violation.
-    result = check_trace(trace)
+    result = check(trace)
     assert not result.serializable
 
     # 3. Minimize to the core...
@@ -65,7 +65,7 @@ def test_debugging_pipeline(violating_benchmark):
     assert "witness cycle" in rendered
 
     # 5. ...and draw it, in both terminal and Graphviz form.
-    columns = render_columns(core, violation=check_trace(core).violation)
+    columns = render_columns(core, violation=check(core).violation)
     assert "← violation" in columns
     dot = transaction_graph_dot(core)
     assert "crimson" in dot
@@ -77,8 +77,8 @@ def test_round_trip_through_text_preserves_everything(violating_benchmark):
     reloaded = parse_trace(text)
     assert list(reloaded) == list(violating_benchmark)
     assert (
-        check_trace(reloaded).serializable
-        == check_trace(violating_benchmark).serializable
+        check(reloaded).serializable
+        == check(violating_benchmark).serializable
     )
 
 
@@ -92,7 +92,7 @@ def test_serial_witness_of_the_fixed_trace(violating_benchmark):
     for event in violating_benchmark:
         if not event.is_marker:
             fixed.append(Event(event.thread, event.op, event.target))
-    assert check_trace(fixed).serializable  # unary-only is trivially fine
+    assert check(fixed).serializable  # unary-only is trivially fine
     witness = serial_witness(fixed)
     assert witness is not None
     assert is_serial(witness)
@@ -111,7 +111,7 @@ def test_monitoring_pipeline_with_checkpoint(violating_benchmark):
     for event in events[checker.events_processed:]:
         if resumed.process(event) is not None:
             break
-    expected = check_trace(violating_benchmark)
+    expected = check(violating_benchmark)
     assert resumed.violation is not None
     assert resumed.violation.event_idx == expected.violation.event_idx
 
@@ -126,11 +126,11 @@ def test_inference_pipeline_on_labeled_workload():
     trace = None
     for seed in range(40):
         candidate = execute(program, PCTScheduler(seed=seed, depth=3, max_steps=k))
-        if not check_trace(candidate).serializable:
+        if not check(candidate).serializable:
             trace = candidate
             break
     assert trace is not None, "PCT should expose the racy fold"
     inferred = infer_spec(trace)
     assert "fold" in inferred.refuted_methods
     fixed = apply_spec(trace, inferred.spec)
-    assert check_trace(fixed).serializable
+    assert check(fixed).serializable

@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from repro import AtomicityViolationError, check_trace
+from repro import AtomicityViolationError, check
 from repro.instrument.monitor import LiveMonitor, monitored_run
 
 
@@ -24,7 +24,7 @@ def test_clean_single_thread_run():
         x.set(x.get() + 1)
     assert monitor.clean
     assert monitor.first_violation() is None
-    assert check_trace(monitor.trace()).serializable
+    assert check(monitor.trace()).serializable
 
 
 def _run_rho2_shape(monitor):
@@ -69,7 +69,7 @@ def test_record_policy_collects_violation():
     # The cycle closes at worker1's read of y.
     assert monitor.trace()[violation.event_idx].target == "y"
     # Post-mortem agrees with the online verdict.
-    assert not check_trace(monitor.trace(), "aerodrome-basic").serializable
+    assert not check(monitor.trace(), algorithm="aerodrome-basic").serializable
 
 
 def test_raise_policy_fails_the_offending_thread():
@@ -104,7 +104,7 @@ def test_locked_threads_stay_clean():
         monitor.join(thread)
     assert monitor.clean
     assert counter.get() == 20
-    assert check_trace(monitor.trace()).serializable
+    assert check(monitor.trace()).serializable
 
 
 def test_monitored_run_harness():

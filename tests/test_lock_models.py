@@ -15,7 +15,7 @@ from repro import (
     Trace,
     acquire,
     begin,
-    check_trace,
+    check,
     conflict_serializable,
     end,
     read,
@@ -96,7 +96,7 @@ def test_transformation_preserves_indices():
 def test_lock_cycle_is_a_real_violation():
     trace = lock_cycle_trace()
     assert not conflict_serializable(trace)
-    assert not check_trace(trace).serializable
+    assert not check(trace).serializable
 
 
 def test_ignored_model_misses_the_lock_cycle():
@@ -111,10 +111,10 @@ def test_as_writes_model_catches_the_lock_cycle():
     assert not result.serializable
 
 
-def test_standard_model_matches_check_trace(rho2, rho4):
+def test_standard_model_matches_check(rho2, rho4):
     for trace in (rho2, rho4):
         result = FarzanMadhusudanChecker(LockModel.STANDARD).run(trace)
-        assert result.serializable == check_trace(trace).serializable
+        assert result.serializable == check(trace).serializable
 
 
 def test_all_models_agree_on_lock_free_traces(paper_traces):
@@ -151,7 +151,7 @@ def test_velodrome_engine_composes():
 def test_as_writes_equals_standard_on_random_traces(seed):
     cfg = RandomTraceConfig(n_threads=3, n_vars=3, n_locks=2, length=50)
     trace = random_trace(seed, cfg)
-    standard = check_trace(trace).serializable
+    standard = check(trace).serializable
     as_writes = FarzanMadhusudanChecker(LockModel.AS_WRITES).run(trace)
     assert as_writes.serializable == standard
 
@@ -163,4 +163,4 @@ def test_ignored_never_reports_more_than_standard(seed):
     trace = random_trace(seed, cfg)
     ignored = FarzanMadhusudanChecker(LockModel.IGNORED).run(trace)
     if not ignored.serializable:
-        assert not check_trace(trace).serializable
+        assert not check(trace).serializable

@@ -15,7 +15,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro import Trace, check_trace, conflict_serializable
+from repro import Trace, check, conflict_serializable
 from repro.trace.events import Event
 from repro.sim.random_traces import RandomTraceConfig, random_trace
 
@@ -69,8 +69,8 @@ def _rename(trace: Trace, prefix: str) -> Trace:
 @given(st.integers(min_value=0, max_value=10**9))
 def test_renaming_invariance(seed):
     trace = random_trace(seed, CONFIG)
-    original = check_trace(trace).serializable
-    assert check_trace(_rename(trace, "zz_")).serializable == original
+    original = check(trace).serializable
+    assert check(_rename(trace, "zz_")).serializable == original
 
 
 @settings(max_examples=80, deadline=None)
@@ -83,8 +83,8 @@ def test_commuting_non_conflicting_events_preserves_verdict(seed, swap_seed):
     swapped = _swap_non_conflicting(trace, swap_seed)
     for algorithm in ("aerodrome", "aerodrome-basic", "aerodrome-sharded", "velodrome", "velodrome-pk"):
         assert (
-            check_trace(trace, algorithm).serializable
-            == check_trace(swapped, algorithm).serializable
+            check(trace, algorithm=algorithm).serializable
+            == check(swapped, algorithm=algorithm).serializable
         ), algorithm
 
 
@@ -94,7 +94,7 @@ def test_fresh_thread_noise_is_inert(seed):
     from repro import begin, end, read, write
 
     trace = random_trace(seed, CONFIG)
-    original = check_trace(trace).serializable
+    original = check(trace).serializable
     noisy = Trace(
         [Event(e.thread, e.op, e.target) for e in trace],
         name=f"{trace.name}+noise",
@@ -103,7 +103,7 @@ def test_fresh_thread_noise_is_inert(seed):
     noisy.append(write("fresh", "fresh_var"))
     noisy.append(read("fresh", "fresh_var"))
     noisy.append(end("fresh"))
-    assert check_trace(noisy).serializable == original
+    assert check(noisy).serializable == original
 
 
 @settings(max_examples=60, deadline=None)
@@ -123,4 +123,4 @@ def test_violation_monotone_under_extension(seed, extension_seed):
         name="combined",
     )
     assert not conflict_serializable(combined)
-    assert not check_trace(combined).serializable
+    assert not check(combined).serializable

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from repro import (
     Trace,
     begin,
-    check_trace,
+    check,
     conflict_serializable,
     end,
     is_well_formed,
@@ -48,7 +48,7 @@ def test_noise_is_stripped():
     minimized = minimize_violation(trace)
     assert len(minimized) == 8  # exactly the ρ2 core
     assert {e.thread for e in minimized} == {"t1", "t2"}
-    assert not check_trace(minimized).serializable
+    assert not check(minimized).serializable
     assert is_well_formed(minimized)
     assert is_one_minimal(minimized)
 
@@ -73,7 +73,7 @@ def test_benchmark_trace_minimizes_to_a_small_core():
     assert not conflict_serializable(trace)
     minimized = minimize_violation(trace)
     assert len(minimized) <= 20
-    assert not check_trace(minimized).serializable
+    assert not check(minimized).serializable
 
 
 def test_custom_predicate():
@@ -81,7 +81,7 @@ def test_custom_predicate():
     trace = rho2_with_noise()
     minimized = minimize_violation(
         trace,
-        reproduces=lambda t: not check_trace(t, "velodrome").serializable,
+        reproduces=lambda t: not check(t, algorithm="velodrome").serializable,
     )
     assert len(minimized) == 8
 
@@ -99,5 +99,5 @@ def test_minimized_random_traces_are_minimal_violations(seed):
     minimized = minimize_violation(trace)
     assert len(minimized) <= len(trace)
     assert is_well_formed(minimized)
-    assert not check_trace(minimized).serializable
+    assert not check(minimized).serializable
     assert is_one_minimal(minimized)

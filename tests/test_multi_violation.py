@@ -1,6 +1,6 @@
 """Report-and-continue tests (violation_stream / find_all_violations)."""
 
-from repro import Trace, begin, check_trace, end, read, write
+from repro import Trace, begin, check, end, read, write
 from repro.core.multi import find_all_violations, violation_stream
 
 
@@ -35,9 +35,9 @@ def test_serializable_trace_yields_nothing(rho1):
     assert find_all_violations(rho1) == []
 
 
-def test_first_report_matches_check_trace(rho2):
+def test_first_report_matches_check(rho2):
     stream = list(violation_stream(rho2))
-    expected = check_trace(rho2).violation
+    expected = check(rho2).violation
     assert stream[0].event_idx == expected.event_idx
     assert stream[0].thread == expected.thread
     assert stream[0].site == expected.site

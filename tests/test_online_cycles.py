@@ -9,7 +9,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import check_trace, conflict_serializable
+from repro import check, conflict_serializable
 from repro.baselines.graph import Digraph
 from repro.baselines.online_cycles import (
     CycleClosedError,
@@ -171,5 +171,5 @@ def test_velodrome_pk_matches_oracle(seed):
 
 def test_velodrome_pk_on_paper_traces(paper_traces):
     for trace, serializable in paper_traces:
-        result = check_trace(trace, algorithm="velodrome-pk")
+        result = check(trace, algorithm="velodrome-pk")
         assert result.serializable == serializable, trace.name

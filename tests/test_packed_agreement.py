@@ -13,7 +13,7 @@ report-and-continue stream.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import check_trace, conflict_serializable, make_checker
+from repro import check, conflict_serializable, make_checker
 from repro.core.multi import find_all_violations
 from repro.sim.random_traces import RandomTraceConfig, random_trace
 from repro.trace.packed import pack
@@ -105,7 +105,7 @@ def test_packed_report_and_continue_matches_string(seed):
         ]
 
 
-def test_check_trace_accepts_packed():
+def test_check_accepts_packed():
     trace = Trace(
         [
             begin("t1"), write("t1", "x"),
@@ -113,7 +113,7 @@ def test_check_trace_accepts_packed():
             read("t1", "y"), end("t1"),
         ]
     )
-    result = check_trace(pack(trace))
+    result = check(pack(trace))
     assert not result.serializable
     assert result.violation.event_idx == 6
 

@@ -3,7 +3,7 @@ work stealing, lazy init, pipelines, map-reduce)."""
 
 import pytest
 
-from repro import check_trace, conflict_serializable, metainfo
+from repro import check, conflict_serializable, metainfo
 from repro.sim.runtime import execute
 from repro.sim.scheduler import RandomScheduler, RoundRobinScheduler
 from repro.sim.workloads.patterns import (
@@ -21,8 +21,8 @@ FINE = RoundRobinScheduler(quantum=1)
 def verdicts(program, scheduler):
     trace = execute(program, scheduler, validate_output=True)
     oracle = conflict_serializable(trace)
-    aero = check_trace(trace, "aerodrome").serializable
-    velo = check_trace(trace, "velodrome").serializable
+    aero = check(trace, algorithm="aerodrome").serializable
+    velo = check(trace, algorithm="velodrome").serializable
     assert aero == velo == oracle
     return oracle
 

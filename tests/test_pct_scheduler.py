@@ -3,7 +3,7 @@ power versus uniform random scheduling."""
 
 import pytest
 
-from repro import check_trace
+from repro import check
 from repro.sim.runtime import execute
 from repro.sim.scheduler import PCTScheduler, RandomScheduler
 from repro.sim.workloads.patterns import (
@@ -47,7 +47,7 @@ def test_depth_one_never_preempts_by_priority():
                 seen_done.add(current)
             current = event.thread
     # And a serial schedule of atomic increments is serializable.
-    assert check_trace(trace).serializable
+    assert check(trace).serializable
 
 
 def test_well_formed_output():
@@ -65,7 +65,7 @@ def test_preserves_verdict_on_safe_program():
     program = locked_counter(n_threads=3, increments=3)
     for seed in range(5):
         trace = execute(program, PCTScheduler(seed=seed, depth=4))
-        assert check_trace(trace).serializable
+        assert check(trace).serializable
 
 
 def test_finds_violations_at_low_depth():
@@ -77,7 +77,7 @@ def test_finds_violations_at_low_depth():
     found = sum(
         1
         for seed in range(20)
-        if not check_trace(
+        if not check(
             execute(program, PCTScheduler(seed=seed, depth=3, max_steps=k))
         ).serializable
     )
@@ -95,7 +95,7 @@ def test_comparable_power_to_uniform_on_this_workload():
         return sum(
             1
             for seed in range(20)
-            if not check_trace(
+            if not check(
                 execute(program, make_scheduler(seed))
             ).serializable
         )

@@ -4,7 +4,7 @@ profile backing the paper's §6 distributed-implementation claim."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import Trace, begin, check_trace, end, read, write
+from repro import Trace, begin, check, end, read, write
 from repro.core.sharded import ShardedAeroDromeChecker
 from repro.sim.random_traces import RandomTraceConfig, random_trace
 
@@ -24,7 +24,7 @@ def test_paper_traces_all_shard_counts(paper_traces):
 
 def test_violation_event_matches_aerodrome(rho2, rho3, rho4):
     for trace in (rho2, rho3, rho4):
-        expected = check_trace(trace, algorithm="aerodrome-basic").violation
+        expected = check(trace, algorithm="aerodrome-basic").violation
         actual = ShardedAeroDromeChecker().run(trace).violation
         assert actual.event_idx == expected.event_idx, trace.name
         assert actual.thread == expected.thread, trace.name
@@ -42,7 +42,7 @@ def test_matches_basic_aerodrome_on_random_traces(seed, shards):
             n_threads=4, n_vars=4, n_locks=2, length=50, p_begin=0.2, p_end=0.2
         ),
     )
-    expected = check_trace(trace, algorithm="aerodrome-basic")
+    expected = check(trace, algorithm="aerodrome-basic")
     result = ShardedAeroDromeChecker(n_object_shards=shards).run(trace)
     assert result.serializable == expected.serializable
 
@@ -55,7 +55,7 @@ def test_matches_with_forks(seed):
         RandomTraceConfig(n_threads=3, n_vars=3, n_locks=1, length=40,
                           with_forks=True),
     )
-    expected = check_trace(trace, algorithm="aerodrome-basic")
+    expected = check(trace, algorithm="aerodrome-basic")
     result = ShardedAeroDromeChecker().run(trace)
     assert result.serializable == expected.serializable
 

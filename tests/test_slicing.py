@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import check_trace, validate
+from repro import check, validate
 from repro.sim.random_traces import RandomTraceConfig, random_trace
 from repro.trace.slicing import project_threads, project_variables, window
 
@@ -20,11 +20,11 @@ class TestProjectThreads:
     def test_violation_confirmed_on_slice(self, rho2):
         # Both cycle threads retained: the violation survives.
         sliced = project_threads(rho2, ["t1", "t2"])
-        assert not check_trace(sliced).serializable
+        assert not check(sliced).serializable
 
     def test_dropping_a_cycle_thread_loses_the_violation(self, rho2):
         sliced = project_threads(rho2, ["t1"])
-        assert check_trace(sliced).serializable
+        assert check(sliced).serializable
 
     def test_drop_dangling_fork(self):
         from repro import fork, read, trace_of
@@ -46,7 +46,7 @@ class TestProjectVariables:
 
     def test_cycle_variables_suffice(self, rho2):
         sliced = project_variables(rho2, ["x", "y"])
-        assert not check_trace(sliced).serializable
+        assert not check(sliced).serializable
 
 
 class TestWindow:
@@ -63,13 +63,13 @@ class TestWindow:
 
     def test_full_window_is_identityish(self, rho2):
         sliced = window(rho2, 0, len(rho2))
-        assert not check_trace(sliced).serializable
+        assert not check(sliced).serializable
 
     def test_window_around_violation_confirms_it(self, rho4):
         # The ρ4 cycle completes at e11 (index 10); a window over the
         # whole body keeps it.
         sliced = window(rho4, 0, 11)
-        assert not check_trace(sliced).serializable
+        assert not check(sliced).serializable
 
     def test_window_repairs_held_locks(self):
         from repro import acquire, read, release, trace_of

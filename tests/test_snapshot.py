@@ -6,7 +6,7 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import available_algorithms, check_trace, make_checker
+from repro.api import check, checker_names, make_checker
 from repro.core.snapshot import (
     CHECKPOINT_VERSION,
     Checkpoint,
@@ -20,7 +20,7 @@ from repro.sim.random_traces import RandomTraceConfig, random_trace
 
 #: Atomizer is registered but deliberately unsound; it still must be
 #: checkpointable like the rest.
-ALGORITHMS = available_algorithms()
+ALGORITHMS = checker_names()
 
 
 def run_split(trace, algorithm, split):
@@ -40,7 +40,7 @@ def run_split(trace, algorithm, split):
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_split_preserves_verdict_on_paper_traces(algorithm, paper_traces):
     for trace, _ in paper_traces:
-        expected = check_trace(trace, algorithm=algorithm)
+        expected = check(trace, algorithm=algorithm)
         for split in range(len(trace) + 1):
             result = run_split(trace, algorithm, split)
             assert result.serializable == expected.serializable
@@ -59,7 +59,7 @@ def test_split_preserves_verdict_on_random_traces(seed, split_frac, algorithm):
         seed, RandomTraceConfig(n_threads=3, n_vars=3, n_locks=1, length=40)
     )
     split = int(split_frac * len(trace))
-    expected = check_trace(trace, algorithm=algorithm)
+    expected = check(trace, algorithm=algorithm)
     result = run_split(trace, algorithm, split)
     assert result.serializable == expected.serializable
 
@@ -149,9 +149,19 @@ def test_non_checker_payload_rejected():
         restore(checkpoint)
 
 
-def test_load_rejects_wrong_file_contents(tmp_path):
+def test_load_rejects_wrong_file_contents(tmp_path, rho1):
     path = tmp_path / "bogus.ckpt"
     with open(path, "wb") as handle:
         pickle.dump([1, 2, 3], handle)
     with pytest.raises(CheckpointError, match="does not contain"):
         load_checkpoint(path)
+    # A truncated checkpoint and plain garbage must fail as typed
+    # CheckpointErrors too, never as raw unpickling errors.
+    checker = make_checker("aerodrome")
+    checker.run(rho1)
+    save_checkpoint(checker, path)
+    data = path.read_bytes()
+    for damaged in (data[: len(data) // 2], b"\x00garbage\xff" * 8):
+        path.write_bytes(damaged)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)

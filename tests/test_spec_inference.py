@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Trace, begin, check_trace, end, read, write
+from repro import Trace, begin, check, end, read, write
 from repro.sim.runtime import execute
 from repro.sim.scheduler import RoundRobinScheduler
 from repro.sim.workloads.patterns import (
@@ -57,14 +57,14 @@ def test_rho2_shape_drops_exactly_one_method():
         "m2",
     }
     filtered = apply_spec(labeled_rho2(), inferred.spec)
-    assert check_trace(filtered).serializable
+    assert check(filtered).serializable
 
 
 def test_inferred_spec_is_consistent_with_trace():
     trace = execute(unprotected_counter(n_threads=3, increments=3), FINE)
     inferred = infer_spec(trace)
     filtered = apply_spec(trace, inferred.spec)
-    assert check_trace(filtered).serializable
+    assert check(filtered).serializable
     # The one candidate ("increment") is the culprit.
     assert inferred.refuted_methods == ["increment"]
     assert inferred.atomic_methods == set()
@@ -81,7 +81,7 @@ def test_producer_consumer_refutes_until_clean():
     trace = execute(producer_consumer(items=4, guarded=False), FINE)
     inferred = infer_spec(trace)
     filtered = apply_spec(trace, inferred.spec)
-    assert check_trace(filtered).serializable
+    assert check(filtered).serializable
     assert set(inferred.refuted_methods) <= {"produce", "consume"}
     assert inferred.refuted_methods  # the racy variant must drop something
     assert inferred.iterations == len(inferred.refuted_methods) + 1
@@ -96,7 +96,7 @@ def test_unlabeled_violation_is_an_error(rho2):
 def test_velodrome_engine_also_works():
     inferred = infer_spec(labeled_rho2(), algorithm="velodrome")
     filtered = apply_spec(labeled_rho2(), inferred.spec)
-    assert check_trace(filtered).serializable
+    assert check(filtered).serializable
 
 
 def test_str_summary():

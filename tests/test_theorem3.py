@@ -9,7 +9,7 @@ first end event arrives. On full traces, where everything completes, the
 notions coincide (the agreement property test).
 """
 
-from repro import check_trace, conflict_serializable
+from repro import check, conflict_serializable
 
 
 def test_sigma6_cycle_with_two_open_transactions(rho3):
@@ -17,28 +17,28 @@ def test_sigma6_cycle_with_two_open_transactions(rho3):
     # Definition 1 on the prefix: already a cycle.
     assert not conflict_serializable(sigma6)
     # Velodrome's eager edge insertion sees it immediately ...
-    assert not check_trace(sigma6, "velodrome").serializable
+    assert not check(sigma6, algorithm="velodrome").serializable
     # ... but both incomplete transactions put it outside Theorem 3's
     # guarantee, and basic AeroDrome is silent on the prefix. (The
     # optimized variant's lazy write clock stands in the whole open
     # writer transaction, so it does fire here — a sound superset; see
     # test_aerodrome_opt.TestAgreesWithBasicOnPaperTraces.)
-    assert check_trace(sigma6, "aerodrome-basic").serializable
-    assert not check_trace(sigma6, "aerodrome").serializable
+    assert check(sigma6, algorithm="aerodrome-basic").serializable
+    assert not check(sigma6, algorithm="aerodrome").serializable
 
 
 def test_one_end_event_restores_detection(rho3):
     sigma7 = rho3.prefix(7)  # t1's end: now only T2 is incomplete
-    assert not check_trace(sigma7, "aerodrome-basic").serializable
-    assert not check_trace(sigma7, "aerodrome").serializable
+    assert not check(sigma7, algorithm="aerodrome-basic").serializable
+    assert not check(sigma7, algorithm="aerodrome").serializable
 
 
 def test_rho4_prefix_with_one_active_witness(rho4):
     # At e11, T2 and T3 are complete and only T1 is active: within the
     # guarantee, so AeroDrome detects on the prefix.
     sigma11 = rho4.prefix(11)
-    assert not check_trace(sigma11, "aerodrome-basic").serializable
-    assert not check_trace(sigma11, "aerodrome").serializable
+    assert not check(sigma11, algorithm="aerodrome-basic").serializable
+    assert not check(sigma11, algorithm="aerodrome").serializable
 
 
 def test_rho2_detected_while_both_open(rho2):
@@ -48,4 +48,4 @@ def test_rho2_detected_while_both_open(rho2):
     # mediator needed). The "at most one incomplete" clause of Theorem 3
     # is about what is guaranteed, not an upper bound on what is found.
     sigma6 = rho2.prefix(6)
-    assert not check_trace(sigma6, "aerodrome-basic").serializable
+    assert not check(sigma6, algorithm="aerodrome-basic").serializable

@@ -1,6 +1,6 @@
 """Columnar trace rendering tests."""
 
-from repro import Trace, begin, check_trace, end, read, write
+from repro import Trace, begin, check, end, read, write
 from repro.analysis.timeline import (
     BEGIN_GLYPH,
     END_GLYPH,
@@ -42,7 +42,7 @@ def test_rows_numbered_like_the_paper(rho2):
 
 
 def test_violation_marker(rho2):
-    result = check_trace(rho2)
+    result = check(rho2)
     rendered = render_columns(rho2, violation=result.violation)
     marked = [l for l in rendered.splitlines() if "← violation" in l]
     assert len(marked) == 1

@@ -4,7 +4,7 @@ exact view-serializability decision procedure."""
 
 import pytest
 
-from repro import check_trace, conflict_serializable, is_well_formed
+from repro import check, conflict_serializable, is_well_formed
 from repro.analysis.view_serializability import view_serializable
 from repro.sim import trace_zoo
 
@@ -53,7 +53,7 @@ def test_oracle_verdict(specimen):
 @pytest.mark.parametrize("specimen", SPECIMENS, ids=lambda s: s.name)
 @pytest.mark.parametrize("algorithm", SOUND_ALGORITHMS)
 def test_checker_verdicts(specimen, algorithm):
-    result = check_trace(specimen.trace(), algorithm=algorithm)
+    result = check(specimen.trace(), algorithm=algorithm)
     assert result.serializable == specimen.conflict_serializable
 
 

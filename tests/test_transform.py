@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import Trace, check_trace, fork, is_well_formed, join, write
+from repro import Trace, check, fork, is_well_formed, join, write
 from repro.sim.random_traces import RandomTraceConfig, random_trace
 from repro.sim.trace_zoo import get as zoo_get
 from repro.trace.transform import (
@@ -57,8 +57,8 @@ class TestRename:
             locks={"l0": "guard"},
         )
         assert (
-            check_trace(renamed).serializable
-            == check_trace(trace).serializable
+            check(renamed).serializable
+            == check(trace).serializable
         )
 
 
@@ -66,9 +66,9 @@ class TestConcat:
     def test_disjoint_verdict_is_disjunction(self):
         good = relabel_disjoint([zoo_get("paper-rho1").trace()], prefix="a")[0]
         bad = relabel_disjoint([zoo_get("paper-rho2").trace()], prefix="b")[0]
-        assert check_trace(concat([good])).serializable
-        assert not check_trace(concat([good, bad])).serializable
-        assert not check_trace(concat([bad, good])).serializable
+        assert check(concat([good])).serializable
+        assert not check(concat([good, bad])).serializable
+        assert not check(concat([bad, good])).serializable
 
     def test_shared_threads_rejected(self):
         rho1 = zoo_get("paper-rho1").trace()
@@ -104,14 +104,14 @@ class TestInterleave:
         )
         merged = interleave(groups)
         assert is_well_formed(merged)
-        assert not check_trace(merged).serializable
+        assert not check(merged).serializable
 
     def test_serializable_groups_stay_serializable(self):
         groups = relabel_disjoint(
             [zoo_get("paper-rho1").trace() for _ in range(3)]
         )
         merged = interleave(groups)
-        assert check_trace(merged).serializable
+        assert check(merged).serializable
 
 
 class TestRelabel:
@@ -121,4 +121,4 @@ class TestRelabel:
         names_b = {e.thread for e in groups[1]}
         assert not names_a & names_b
         for group in groups:
-            assert not check_trace(group).serializable  # verdict kept
+            assert not check(group).serializable  # verdict kept
