@@ -46,9 +46,7 @@ def stream_with_recovery(spool: str) -> dict:
     server = ServiceServer(shards=2, spool=spool).start()
     print(f"server 1 listening on {server.address}")
     with ServiceClient(server.host, server.port) as client:
-        handle = client.open_session(
-            ANALYSES, name=spec.name, session_id="demo", encoding="delta"
-        )
+        handle = client.open_session(ANALYSES, name=spec.name, session_id="demo")
         for i in range(0, half, 2):
             handle.send(events[i : i + 2])
         info = handle.flush()

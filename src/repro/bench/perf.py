@@ -410,7 +410,6 @@ def bench_service(
                 docs[slot] = submit_trace(
                     server.host, server.port, events, names,
                     name=f"{trace.name}#{slot}", batch=batch,
-                    encoding="delta",
                 )
 
             start = time.perf_counter()
@@ -521,7 +520,6 @@ def bench_cluster(
                     client.submit_trace(
                         events, names,
                         name=f"{trace.name}#{slot}", batch=batch,
-                        encoding="delta",
                         session_id=f"bench-cluster-{count}-{slot}",
                     )
                 )

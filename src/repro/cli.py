@@ -255,7 +255,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                 names,
                 name=getattr(trace, "name", None) or "trace",
                 batch=args.batch,
-                encoding=args.encoding,
                 packed=args.packed,
                 session_id=args.session_id,
                 resume=args.resume,
@@ -271,7 +270,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                 names,
                 name=getattr(trace, "name", None) or "trace",
                 batch=args.batch,
-                encoding=args.encoding,
                 packed=args.packed,
                 session_id=args.session_id,
                 resume=args.resume,
@@ -1078,10 +1076,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument(
         "--batch", type=int, default=512, help="events per EVENTS frame"
-    )
-    submit.add_argument(
-        "--encoding", choices=("text", "delta"), default="text",
-        help="wire encoding: .std text lines or packed column deltas",
     )
     submit.add_argument(
         "--packed", action="store_true",

@@ -161,7 +161,6 @@ class ClusterClient:
         analyses: Sequence[Union[str, Dict[str, Any]]],
         name: str = "stream",
         batch: int = DEFAULT_BATCH,
-        encoding: str = "text",
         packed: bool = False,
         session_id: Optional[str] = None,
         resume: bool = False,
@@ -202,8 +201,8 @@ class ClusterClient:
             try:
                 return _submit_to_node(
                     host, port, all_events, analyses,
-                    name=name, batch=batch, encoding=encoding,
-                    packed=packed, session_id=session_id,
+                    name=name, batch=batch, packed=packed,
+                    session_id=session_id,
                     resume=resume_flag, lenient=True,
                     stop_after=stop_after, checkpoint=checkpoint,
                     deadline=budget.remaining("streaming"),

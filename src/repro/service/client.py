@@ -293,7 +293,7 @@ class ServiceClient:
         analyses: Sequence[Union[str, Dict[str, Any]]],
         name: str = "stream",
         packed: bool = False,
-        encoding: str = "text",
+        encoding: str = "delta",
         session_id: Optional[str] = None,
         resume: bool = False,
         lenient: bool = False,
@@ -302,20 +302,22 @@ class ServiceClient:
     ) -> "SessionHandle":
         """HELLO: open (or resume) a session and bind this connection.
 
-        ``encoding`` picks how batches travel: ``"text"`` (``.std``
-        lines) or ``"delta"`` (packed column deltas — cheaper for long
-        streams). ``packed`` selects the *analysis* path server-side,
-        independent of the wire encoding. ``lenient`` softens a resume:
-        if the server has nothing resumable (cluster failover lost the
-        checkpoint) the session opens fresh at position 0 instead of
-        erroring, and the caller re-sends from the start. ``epoch`` is
-        the membership epoch the caller routed by (cluster clients): a
-        node whose view is older answers FENCED
+        Batches travel as packed column deltas whose name tables belong
+        to this session; a connection may carry several sessions in
+        turn, and each HELLO starts fresh tables on both ends.
+        ``encoding`` accepts only ``"delta"`` and is kept for callers
+        that still pass it. ``packed`` selects the *analysis* path
+        server-side, independent of the wire encoding. ``lenient``
+        softens a resume: if the server has nothing resumable (cluster
+        failover lost the checkpoint) the session opens fresh at
+        position 0 instead of erroring, and the caller re-sends from
+        the start. ``epoch`` is the membership epoch the caller routed
+        by (cluster clients): a node whose view is older answers FENCED
         (:class:`SessionFenced`) instead of serving writes it may no
         longer own.
         """
-        if encoding not in ("text", "delta"):
-            raise ValueError(f"encoding must be 'text' or 'delta', not {encoding!r}")
+        if encoding != "delta":
+            raise ValueError(f"encoding must be 'delta', not {encoding!r}")
         hello = {
             "protocol": protocol.PROTOCOL,
             "analyses": list(analyses),
@@ -332,7 +334,7 @@ class ServiceClient:
             protocol.encode_json(FrameType.HELLO, hello)
         )
         self._fault_key = info.get("session")
-        return SessionHandle(self, info, encoding)
+        return SessionHandle(self, info)
 
     def stats(self) -> Dict[str, Any]:
         """The router's aggregated metrics snapshot."""
@@ -341,11 +343,13 @@ class ServiceClient:
 
 
 class SessionHandle:
-    """One open streaming session (returned by ``open_session``)."""
+    """One open streaming session (returned by ``open_session``).
 
-    def __init__(
-        self, client: ServiceClient, info: Dict[str, Any], encoding: str
-    ) -> None:
+    Owns the session's :class:`~repro.service.protocol.DeltaEncoder`,
+    so its name tables live exactly as long as the session does.
+    """
+
+    def __init__(self, client: ServiceClient, info: Dict[str, Any]) -> None:
         self.client = client
         self.session_id: str = info["session"]
         #: Server-side stream position at open — a resumed session
@@ -361,10 +365,7 @@ class SessionHandle:
         #: at. Stamped into positioned EVENTS frames so duplicate
         #: deliveries are dropped server-side and gaps are detected.
         self.sent: int = self.position
-        self.encoding = encoding
-        self._encoder = (
-            protocol.DeltaEncoder() if encoding == "delta" else None
-        )
+        self._encoder = protocol.DeltaEncoder()
         #: Findings delivered by FLUSH/CLOSE frames so far.
         self.findings: List[Dict[str, Any]] = []
         self.report: Optional[Dict[str, Any]] = None
@@ -374,10 +375,7 @@ class SessionHandle:
         events = list(events)
         if not events:
             return 0
-        if self._encoder is not None:
-            payload = self._encoder.encode(events, base=self.sent)
-        else:
-            payload = protocol.encode_events_text(events, base=self.sent)
+        payload = self._encoder.encode(events, base=self.sent)
         self.client.roundtrip(
             protocol.encode_frame(FrameType.EVENTS, payload)
         )
@@ -439,7 +437,6 @@ def submit_trace(
     analyses: Sequence[Union[str, Dict[str, Any]]],
     name: str = "stream",
     batch: int = DEFAULT_BATCH,
-    encoding: str = "text",
     packed: bool = False,
     session_id: Optional[str] = None,
     resume: bool = False,
@@ -483,7 +480,7 @@ def submit_trace(
         try:
             return _submit_once(
                 host, port, all_events, analyses,
-                name=name, batch=batch, encoding=encoding, packed=packed,
+                name=name, batch=batch, packed=packed,
                 session_id=session_id, resume=resume, lenient=lenient,
                 stop_after=stop_after, checkpoint=checkpoint,
                 budget=budget, jitter_seed=jitter_seed, epoch=epoch,
@@ -513,7 +510,6 @@ def _submit_once(
     analyses: Sequence[Union[str, Dict[str, Any]]],
     name: str,
     batch: int,
-    encoding: str,
     packed: bool,
     session_id: Optional[str],
     resume: bool,
@@ -532,7 +528,6 @@ def _submit_once(
             analyses,
             name=name,
             packed=packed,
-            encoding=encoding,
             session_id=session_id,
             resume=resume,
             lenient=lenient,
@@ -624,7 +619,6 @@ class RemoteChecker:
         algorithm: str = "remote",
         batch: int = 64,
         name: str = "live",
-        encoding: str = "text",
     ) -> None:
         self.algorithm = algorithm
         self.batch = max(1, batch)
@@ -632,9 +626,7 @@ class RemoteChecker:
         self.events_processed = 0
         self.violations: List[Violation] = []
         self._client = ServiceClient(host, port)
-        self._handle = self._client.open_session(
-            analyses, name=name, encoding=encoding
-        )
+        self._handle = self._client.open_session(analyses, name=name)
         self._buffer: List[Event] = []
         self._seen_findings = 0
         self.report: Optional[Dict[str, Any]] = None

@@ -87,7 +87,8 @@ class WireConnection:
         self.pinned_epoch: Optional[int] = None
         #: Inbound incremental frame decoder (the ring buffer lives here).
         self.frames = protocol.FrameDecoder()
-        #: Per-connection delta-events decoder state.
+        #: Delta-events name tables of the bound session; every accepted
+        #: HELLO replaces them, matching the client's per-session encoder.
         self.delta = protocol.DeltaDecoder()
         #: Outbound frame encoder (reply accounting).
         self.encoder = protocol.FrameEncoder()
@@ -376,6 +377,7 @@ class WireConnection:
             def finish() -> None:
                 info = future.result()
                 self.session_id = info["session"]
+                self.delta = protocol.DeltaDecoder()
                 info["protocol"] = protocol.PROTOCOL
                 self._send(FrameType.OK, info)
 

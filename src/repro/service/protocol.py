@@ -18,24 +18,22 @@ document), ``VIOLATION`` (new findings), ``ERROR``, ``BUSY``
 (backpressure: the session's shard queue is full, retry).
 
 All payloads are UTF-8 JSON except ``EVENTS``, whose payload is a
-1-byte encoding tag, a 12-byte position header (``u64`` stream base
-position + ``u32`` CRC32 of the body), then the batch body:
-
-* tag ``2`` — **text**: newline-joined ``.std`` event lines, exactly
-  the :mod:`repro.trace.parser` grammar;
-* tag ``3`` — **packed delta**: the incremental form of
-  :class:`~repro.trace.packed.PackedTrace` columns. A
-  :class:`DeltaEncoder`/:class:`DeltaDecoder` pair mirrors the four
-  interner namespaces (threads, variables, locks, labels); each frame
-  ships only the names interned since the previous frame, then the
-  batch's dense ``(thread, op, target)`` integer triples. Long streams
-  stop paying for strings almost immediately.
+1-byte encoding tag (always ``3``), a 12-byte position header (``u64``
+stream base position + ``u32`` CRC32 of the body), then the batch body
+in **packed delta** form: the incremental form of
+:class:`~repro.trace.packed.PackedTrace` columns. A
+:class:`DeltaEncoder`/:class:`DeltaDecoder` pair mirrors the four
+interner namespaces (threads, variables, locks, labels) for one
+session; each frame ships only the names interned since the previous
+frame, then the batch's dense ``(thread, op, target)`` integer triples.
+Long streams stop paying for strings almost immediately.
 
 The base makes at-least-once delivery idempotent — a server that
 already ingested past ``base`` drops the overlap instead of
 double-feeding — and the CRC turns any payload corruption into a typed
-:class:`PayloadError` instead of silently different events. Tags 0/1,
-the unpositioned forms of the same bodies, are rejected.
+:class:`PayloadError` instead of silently different events. Any other
+tag is rejected, so a frame from an older client fails typed instead
+of decoding as garbage.
 
 Everything here is pure — no sockets, no sessions — and hardened the
 same way the binary trace reader is: any corrupt or truncated input
@@ -55,7 +53,6 @@ codec.
 
 from __future__ import annotations
 
-import io
 import json
 import struct
 import zlib
@@ -64,7 +61,6 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..trace.events import Event, Op
 from ..trace.packed import _NAMESPACE_OF_OP, NO_TARGET, Interner
-from ..trace.parser import TraceParseError, parse_fields
 
 #: Protocol identifier carried in every HELLO.
 PROTOCOL = "repro-wire/1"
@@ -76,9 +72,8 @@ _HEADER = struct.Struct(">IB")  # frame length, frame type
 _U32 = struct.Struct("<I")
 _TRIPLE = struct.Struct("<IBi")  # thread index, op, target index
 
-#: Event-batch encoding tags (first payload byte of an EVENTS frame);
+#: Event-batch encoding tag (first payload byte of an EVENTS frame);
 #: the body is prefixed with ``u64`` base + ``u32`` CRC32.
-TEXT_EVENTS_POS = 2
 DELTA_EVENTS_POS = 3
 
 _POS_HEADER = struct.Struct("<QI")  # stream base position, body CRC32
@@ -385,6 +380,14 @@ def decode_json(payload: bytes) -> Dict[str, Any]:
     return obj
 
 
+def _flag(obj: Dict[str, Any], key: str) -> bool:
+    """A HELLO flag: absent means false, anything but a JSON bool fails."""
+    value = obj.get(key, False)
+    if not isinstance(value, bool):
+        raise PayloadError(f"{key} must be a boolean, got {value!r}")
+    return value
+
+
 def parse_hello(obj: Dict[str, Any]) -> Dict[str, Any]:
     """Validate a HELLO payload and normalize its analysis specs.
 
@@ -401,7 +404,9 @@ def parse_hello(obj: Dict[str, Any]) -> Dict[str, Any]:
             f"protocol {protocol!r} unsupported (want {PROTOCOL!r})"
         )
     raw = obj.get("analyses")
-    resume = bool(obj.get("resume", False))
+    packed = _flag(obj, "packed")
+    resume = _flag(obj, "resume")
+    lenient = _flag(obj, "lenient")
     if not isinstance(raw, list) or (not raw and not resume):
         raise PayloadError("HELLO must carry a non-empty analyses list")
     analyses: List[Tuple[str, Dict[str, Any]]] = []
@@ -427,12 +432,12 @@ def parse_hello(obj: Dict[str, Any]) -> Dict[str, Any]:
     if not isinstance(meta, dict):
         raise PayloadError("meta must be an object")
     epoch = obj.get("epoch")
-    if epoch is not None and (not isinstance(epoch, int) or epoch < 0):
+    if epoch is not None and (type(epoch) is not int or epoch < 0):
         raise PayloadError("epoch must be a non-negative integer")
     return {
         "analyses": analyses,
         "name": name,
-        "packed": bool(obj.get("packed", False)),
+        "packed": packed,
         "resume": resume,
         # Epoch fence: the membership epoch the client routed by. The
         # connection pins it; every shard-bound frame on the connection
@@ -444,7 +449,7 @@ def parse_hello(obj: Dict[str, Any]) -> Dict[str, Any]:
         # no spool entry, no shipped replica), open fresh at position 0
         # instead of erroring — the cluster client's failover path,
         # where a session may die before its first checkpoint ships.
-        "lenient": bool(obj.get("lenient", False)),
+        "lenient": lenient,
         "session": session,
         "meta": meta,
     }
@@ -504,20 +509,6 @@ def decode_handoff(payload: bytes) -> Tuple[Dict[str, Any], bytes]:
 # -- EVENTS payloads --------------------------------------------------------
 
 
-def _positioned(tag: int, base: int, body: bytes) -> bytes:
-    return bytes([tag]) + _POS_HEADER.pack(base, zlib.crc32(body)) + body
-
-
-def encode_events_text(events: Iterable[Event], base: int) -> bytes:
-    """An EVENTS payload in text encoding (``.std`` lines).
-
-    ``base`` is the stream position of the batch's first event: the
-    server drops duplicate deliveries by it and verifies the body CRC.
-    """
-    body = "\n".join(str(event) for event in events).encode("utf-8")
-    return _positioned(TEXT_EVENTS_POS, base, body)
-
-
 class DeltaEncoder:
     """Client half of the packed-delta event encoding.
 
@@ -574,15 +565,18 @@ class DeltaEncoder:
                 out += raw
         out += _U32.pack(n)
         out += triples
-        return _positioned(DELTA_EVENTS_POS, base, bytes(out))
+        header = _POS_HEADER.pack(base, zlib.crc32(out))
+        return bytes([DELTA_EVENTS_POS]) + header + bytes(out)
 
 
 class DeltaDecoder:
     """Server half of the packed-delta event encoding.
 
-    Accumulates the name tables frame by frame and reconstructs
-    :class:`~repro.trace.events.Event` objects with global stream
-    indices stamped by the caller.
+    Accumulates one session's name tables frame by frame and
+    reconstructs :class:`~repro.trace.events.Event` objects with global
+    stream indices stamped by the caller. The tables mirror one
+    :class:`DeltaEncoder`, so a connection needs a fresh decoder for
+    every session it opens.
     """
 
     def __init__(self) -> None:
@@ -665,45 +659,26 @@ class DeltaDecoder:
         return events
 
 
-def _decode_text_body(body: bytes) -> List[Event]:
-    try:
-        text = body.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise PayloadError(f"bad text encoding: {exc}") from exc
-    events: List[Event] = []
-    for line_number, line in enumerate(io.StringIO(text), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        try:
-            thread, op, target = parse_fields(stripped, line_number)
-        except TraceParseError as exc:
-            raise PayloadError(str(exc)) from exc
-        events.append(Event(thread, op, target))
-    return events
-
-
 def decode_events_ex(
-    payload: bytes, decoder: Optional[DeltaDecoder] = None
+    payload: bytes, decoder: DeltaDecoder
 ) -> Tuple[List[Event], int]:
-    """Decode an EVENTS payload of either encoding.
+    """Decode an EVENTS payload through the session's ``decoder``.
 
     Returns ``(events, base)`` — ``base`` is the stream position the
-    batch claims to start at. ``decoder`` carries the per-stream delta
-    state; text payloads do not need one. Returned events carry
-    ``idx = -1`` — the session stamps global stream positions.
+    batch claims to start at. Returned events carry ``idx = -1`` — the
+    session stamps global stream positions.
 
     Raises:
-        PayloadError: On an unknown or unpositioned encoding tag, a CRC
-            mismatch, or any body defect.
+        PayloadError: On an unknown encoding tag, a CRC mismatch, or any
+            body defect.
     """
     if not payload:
         raise PayloadError("empty EVENTS payload")
     tag = payload[0]
-    if tag not in (TEXT_EVENTS_POS, DELTA_EVENTS_POS):
+    if tag != DELTA_EVENTS_POS:
         raise PayloadError(
             f"unknown events encoding tag {tag} (EVENTS must be "
-            f"positioned: tag {TEXT_EVENTS_POS} or {DELTA_EVENTS_POS})"
+            f"positioned packed delta: tag {DELTA_EVENTS_POS})"
         )
     body = payload[1:]
     if len(body) < _POS_HEADER.size:
@@ -714,8 +689,4 @@ def decode_events_ex(
         raise PayloadError(
             f"events body CRC mismatch at base {base} (corrupt frame)"
         )
-    if tag == TEXT_EVENTS_POS:
-        return _decode_text_body(body), base
-    if decoder is None:
-        raise PayloadError("delta-encoded events need a stream decoder")
     return decoder.decode(body), base

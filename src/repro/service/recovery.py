@@ -72,7 +72,15 @@ SPOOL_MAGIC = b"RSPOOL2\n"
 _HEADER_LEN = struct.Struct("<I")
 _PAYLOAD_META = struct.Struct("<IQ")  # crc32, length
 
-_SAFE_ID = re.compile(r"[^A-Za-z0-9_.-]")
+#: Session-id characters a spool file name does not keep verbatim;
+#: each is %-escaped (``%`` itself included), so distinct ids never
+#: share a file and ids made only of ``[A-Za-z0-9_.-]`` keep their name.
+_UNSAFE_ID = re.compile(r"[^A-Za-z0-9_.-]")
+
+
+def _escape_id(match: re.Match) -> str:
+    raw = match.group().encode("utf-8", "surrogatepass")
+    return "".join(f"%{byte:02X}" for byte in raw)
 
 
 class RecoveryError(CheckpointError):
@@ -142,7 +150,7 @@ def restore_session(checkpoint: SessionCheckpoint) -> StreamingSession:
 class RecoveryManager:
     """A checkpoint spool directory: save, load, enumerate, salvage.
 
-    One file per session, named after a sanitized session id. All
+    One file per session, named after the escaped session id. All
     writes are atomic replaces; a crash mid-save leaves the previous
     checkpoint intact. All reads verify the header CRC32 before
     deserializing; anything untrustworthy raises :class:`RecoveryError`
@@ -154,7 +162,7 @@ class RecoveryManager:
         self.spool.mkdir(parents=True, exist_ok=True)
 
     def path_for(self, session_id: str) -> Path:
-        return self.spool / (_SAFE_ID.sub("_", session_id) + SUFFIX)
+        return self.spool / (_UNSAFE_ID.sub(_escape_id, session_id) + SUFFIX)
 
     def save(self, session: StreamingSession) -> SessionCheckpoint:
         """Checkpoint ``session`` and spool it atomically.
@@ -283,17 +291,23 @@ class RecoveryManager:
         ``session_id`` — the blob a cluster ``HANDOFF`` frame carries.
 
         Raises:
-            RecoveryError: If missing, truncated, or failing its CRC.
+            RecoveryError: If missing, truncated, failing its CRC, or
+                spooled for a different session id.
         """
         path = self.path_for(session_id)
         try:
             with open(path, "rb") as handle:
-                _, crc, payload_length = self._read_header(handle)
+                owner, crc, payload_length = self._read_header(handle)
                 blob = handle.read()
         except OSError as exc:
             raise RecoveryError(
                 f"no spooled checkpoint for session {session_id!r}: {exc}"
             ) from exc
+        if owner != session_id:
+            raise RecoveryError(
+                f"spool entry {path.name} belongs to session {owner!r}, "
+                f"not {session_id!r}"
+            )
         if len(blob) != payload_length:
             raise RecoveryError(
                 f"spool entry {path.name}: payload is {len(blob)} bytes, "

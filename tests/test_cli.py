@@ -193,3 +193,11 @@ class TestBench:
             main(["bench", "--tables", "3"])
         assert excinfo.value.code == 2
         assert "knows tables 1 and 2" in capsys.readouterr().err
+
+
+class TestSubmit:
+    def test_encoding_option_removed(self, clean_trace, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["submit", str(clean_trace), "--encoding", "text"])
+        assert excinfo.value.code == 2
+        assert "--encoding" in capsys.readouterr().err

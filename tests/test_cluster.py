@@ -377,6 +377,8 @@ def test_cluster_stats_block_shape(ring3):
     stats = {}
 
     def settled():
+        # A node that just joined learns its peers from the JOIN reply,
+        # before its first gossip tick; wait for that tick too.
         stats.clear()
         stats.update(client.stats())
         return sorted(stats) == ["a", "b", "c"] and all(
@@ -384,10 +386,13 @@ def test_cluster_stats_block_shape(ring3):
             and all(
                 p["status"] == "alive" for p in doc["cluster"]["peers"]
             )
+            and doc["cluster"]["gossip_ticks"] > 0
             for doc in stats.values()
         )
 
-    wait_until(settled, what="every node reporting two live peers")
+    wait_until(
+        settled, what="every node reporting two live peers after a tick"
+    )
     for node_id, doc in stats.items():
         json.dumps(doc)  # the whole document is JSON-serializable
         block = doc["cluster"]
@@ -428,7 +433,6 @@ def test_zoo_agreement_over_cluster(ring3):
             ANALYSES,
             name=spec.name,
             batch=random.Random(i).randint(1, 5),
-            encoding="delta" if i % 2 else "text",
             session_id=sid,
         )
         assert doc["analyses"] == base["analyses"], name

@@ -204,41 +204,31 @@ class TestPositionedEvents:
     def events(self):
         return list(trace_zoo.get("paper-rho1").trace())
 
-    @pytest.mark.parametrize("encoding", ["text", "delta"])
-    def test_positioned_round_trip(self, encoding):
+    def test_positioned_round_trip(self):
         events = self.events()
-        if encoding == "text":
-            payload = protocol.encode_events_text(events, base=17)
-            decoded, base = protocol.decode_events_ex(payload)
-        else:
-            payload = protocol.DeltaEncoder().encode(events, base=17)
-            decoded, base = protocol.decode_events_ex(
-                payload, protocol.DeltaDecoder()
-            )
+        payload = protocol.DeltaEncoder().encode(events, base=17)
+        decoded, base = protocol.decode_events_ex(
+            payload, protocol.DeltaDecoder()
+        )
         assert base == 17
         assert [str(e) for e in decoded] == [str(e) for e in events]
 
-    @pytest.mark.parametrize("encoding", ["text", "delta"])
-    def test_unpositioned_tags_are_rejected(self, encoding):
-        """Tags 0/1 carry the same bodies with no base, so a redelivered
-        batch would double-feed the session: they are a payload error."""
-        events = self.events()
-        if encoding == "text":
-            payload = protocol.encode_events_text(events, base=0)
-        else:
-            payload = protocol.DeltaEncoder().encode(events, base=0)
-        # Drop the 12-byte position header: tag 2/3 becomes tag 0/1.
+    def test_unpositioned_tags_are_rejected(self):
+        """Tag 1 carries the same body with no base, so a redelivered
+        batch would double-feed the session: it is a payload error."""
+        payload = protocol.DeltaEncoder().encode(self.events(), base=0)
+        # Drop the 12-byte position header: tag 3 becomes tag 1.
         legacy = bytes([payload[0] - 2]) + payload[13:]
         with pytest.raises(protocol.PayloadError, match="positioned"):
             protocol.decode_events_ex(legacy, protocol.DeltaDecoder())
 
     def test_corrupt_body_raises_typed_crc_error(self):
         payload = bytearray(
-            protocol.encode_events_text(self.events(), base=0)
+            protocol.DeltaEncoder().encode(self.events(), base=0)
         )
         payload[-1] ^= 0x20  # flip a bit inside the body
         with pytest.raises(protocol.PayloadError, match="CRC"):
-            protocol.decode_events_ex(bytes(payload))
+            protocol.decode_events_ex(bytes(payload), protocol.DeltaDecoder())
 
     def test_duplicate_positioned_batch_is_idempotent(self):
         events = self.events()

@@ -26,10 +26,10 @@ from repro.service.client import submit_trace as node_submit
 from repro.service.connection import WireConnection
 from repro.service.protocol import (
     PROTOCOL,
+    DeltaEncoder,
     FrameDecoder,
     FrameType,
     decode_json,
-    encode_events_text,
     encode_frame,
     encode_json,
 )
@@ -219,7 +219,7 @@ def test_events_behind_pinned_epoch_is_fenced():
         # side): the very next shard-bound frame must fence.
         stub.epoch = 2
         conn.receive_bytes(
-            encode_frame(FrameType.EVENTS, encode_events_text([], base=0))
+            encode_frame(FrameType.EVENTS, DeltaEncoder().encode([], base=0))
         )
         drive(conn)
         ftype, obj = replies(conn)[-1]

@@ -2,7 +2,7 @@
 
 The load-bearing test is the **agreement property**: every trace-zoo
 specimen streamed through a live TCP server — in random batch splits,
-with either wire encoding, with and without a mid-stream
+with and without a mid-stream
 checkpoint + server restart — produces a ``repro-report/1`` document
 whose analyses and verdict are identical to the offline
 ``Session.run()`` on the full trace. That is the service-level
@@ -35,8 +35,10 @@ from repro.service import (
     SessionNotFound,
     submit_trace,
 )
-from repro.service.recovery import RecoveryManager
+from repro.service.recovery import RecoveryError, RecoveryManager
 from repro.sim import trace_zoo
+from repro.trace.events import Event, Op
+from repro.trace.trace import Trace
 
 ANALYSES = ["aerodrome", "races", "lockset"]
 
@@ -195,12 +197,11 @@ def server():
 
 
 def test_zoo_agreement_over_live_server(server):
-    """Satellite property: every specimen, random batches, both
-    encodings, report ≡ offline."""
+    """Satellite property: every specimen, random batches, report ≡
+    offline."""
     for i, spec in enumerate(trace_zoo.all_specimens()):
         trace = spec.trace()
         base = offline_doc(spec.trace(), name=spec.name)
-        encoding = "delta" if i % 2 else "text"
         doc = submit_trace(
             server.host,
             server.port,
@@ -208,7 +209,6 @@ def test_zoo_agreement_over_live_server(server):
             ANALYSES,
             name=spec.name,
             batch=random.Random(i).randint(1, 5),
-            encoding=encoding,
         )
         assert doc["analyses"] == base["analyses"], spec.name
         assert doc["verdict"] == base["verdict"], spec.name
@@ -326,9 +326,45 @@ def test_events_before_hello_is_an_error(server):
             client.roundtrip(
                 protocol.encode_frame(
                     protocol.FrameType.EVENTS,
-                    protocol.encode_events_text([], base=0),
+                    protocol.DeltaEncoder().encode([], base=0),
                 )
             )
+
+
+def test_sessions_in_turn_on_one_connection(server):
+    """Delta name tables belong to the session: a second HELLO on the
+    same connection starts fresh tables on both ends, so a session whose
+    names differ from the first one's still decodes correctly."""
+    from repro.service import protocol
+
+    first = [
+        Event("t1", Op.BEGIN), Event("t1", Op.WRITE, "x"), Event("t1", Op.END),
+    ]
+    second = [
+        Event("t9", Op.BEGIN), Event("t9", Op.READ, "y"),
+        Event("t8", Op.WRITE, "y"), Event("t9", Op.READ, "z"),
+        Event("t9", Op.END),
+    ]
+    with ServiceClient(server.host, server.port) as client:
+        for name, events in (("first", first), ("second", second)):
+            handle = client.open_session(ANALYSES, name=name)
+            # One fresh encoder per session, as SessionHandle.send has.
+            payload = protocol.DeltaEncoder().encode(events, base=0)
+            client.roundtrip(
+                protocol.encode_frame(protocol.FrameType.EVENTS, payload)
+            )
+            doc = handle.result()
+            base = offline_doc(Trace(events, name=name))
+            assert doc["analyses"] == base["analyses"], name
+            assert doc["verdict"] == base["verdict"], name
+            assert doc["trace"]["events"] == len(events), name
+
+
+def test_open_session_accepts_only_delta(server):
+    with ServiceClient(server.host, server.port) as client:
+        for encoding in ("text", "packed"):
+            with pytest.raises(ValueError, match="delta"):
+                client.open_session(ANALYSES, encoding=encoding)
 
 
 def test_stats_frame(server):
@@ -338,11 +374,11 @@ def test_stats_frame(server):
     assert len(stats["shards"]) == 2
 
 
-def _positioned_text_frame(body, base=0):
+def _positioned_delta_frame(body, base=0):
     from repro.service import protocol
 
     payload = (
-        bytes([protocol.TEXT_EVENTS_POS])
+        bytes([protocol.DELTA_EVENTS_POS])
         + struct.pack("<QI", base, zlib.crc32(body))
         + body
     )
@@ -350,11 +386,20 @@ def _positioned_text_frame(body, base=0):
 
 
 def test_malformed_event_line_parks_error_on_session(server):
+    # Name tables (variable, lock, thread, label): only thread "t1";
+    # then one (thread 0, FORK, target -1) triple.
+    body = (
+        struct.pack("<IIII", 0, 0, 0, 0)
+        + struct.pack("<III", 0, 1, 2) + b"t1"
+        + struct.pack("<II", 0, 0)
+        + struct.pack("<I", 1)
+        + struct.pack("<IBi", 0, Op.FORK, -1)
+    )
     with ServiceClient(server.host, server.port) as client:
         client.open_session(["aerodrome"], name="bad-events")
-        with pytest.raises(ServiceError):
+        with pytest.raises(ServiceError, match="FORK event without a target"):
             # fork with no target is a payload error at decode time
-            client.roundtrip(_positioned_text_frame(b"t1|fork"))
+            client.roundtrip(_positioned_delta_frame(body))
 
 
 def test_unpositioned_events_frame_is_answered_with_error(server):
@@ -438,6 +483,23 @@ class TestRecovery:
         path = manager.path_for("../../etc/passwd")
         assert path.parent == manager.spool
         assert "/" not in path.name
+
+    def test_session_ids_never_share_a_spool_entry(self, tmp_path):
+        manager = RecoveryManager(tmp_path / "spool")
+        ids = ["a/b", "a_b", "a%2Fb", "a b", "abc-1.x_Y"]
+        assert len({manager.path_for(sid) for sid in ids}) == len(ids)
+        assert manager.path_for("abc-1.x_Y").name == "abc-1.x_Y.ckpt"
+        spec = trace_zoo.get("paper-rho4")
+        session = StreamingSession("a/b", ANALYSES, name=spec.name)
+        session.feed(list(spec.trace())[:3])
+        manager.save(session)
+        with pytest.raises(RecoveryError):
+            manager.load("a_b")
+        assert manager.load("a/b").position == 3
+        # An entry found under another id's file name is never adopted.
+        manager.path_for("a/b").rename(manager.path_for("a_b"))
+        with pytest.raises(RecoveryError, match="belongs to session 'a/b'"):
+            manager.load("a_b")
 
 
 # -- process shards die with their server ------------------------------------

@@ -27,12 +27,12 @@ from repro.service.protocol import (
     decode_events_ex,
     decode_frame,
     decode_json,
-    encode_events_text,
     encode_frame,
     encode_json,
     parse_hello,
 )
 from repro.sim.random_traces import RandomTraceConfig, random_trace
+from repro.trace.events import Op
 
 
 def make_events(seed, length=20):
@@ -46,9 +46,24 @@ def make_events(seed, length=20):
 POS_PREFIX = 1 + 12
 
 
-def positioned_text(body, base=0):
-    """A positioned text EVENTS payload around a raw (maybe bad) body."""
-    return bytes([2]) + struct.pack("<QI", base, zlib.crc32(body)) + body
+def positioned(body, tag=protocol.DELTA_EVENTS_POS, base=0):
+    """A positioned EVENTS payload around a raw (maybe bad) body."""
+    return bytes([tag]) + struct.pack("<QI", base, zlib.crc32(body)) + body
+
+
+def raw_delta_body(tables, triples):
+    """A hand-built delta body: four name tables (variable, lock,
+    thread, label) of byte strings, each from base 0, then the
+    ``(thread, op, target)`` triples."""
+    out = b""
+    for names in tables:
+        out += struct.pack("<II", 0, len(names))
+        for name in names:
+            out += struct.pack("<I", len(name)) + name
+    out += struct.pack("<I", len(triples))
+    for triple in triples:
+        out += struct.pack("<IBi", *triple)
+    return out
 
 
 def delta_body(events):
@@ -111,7 +126,7 @@ def test_corrupted_frame_stream_never_crashes(position, byte, seed):
     events = make_events(seed)
     data = bytearray(
         encode_json(FrameType.HELLO, {"protocol": protocol.PROTOCOL})
-        + encode_frame(FrameType.EVENTS, encode_events_text(events, base=0))
+        + encode_frame(FrameType.EVENTS, DeltaEncoder().encode(events, base=0))
         + encode_frame(FrameType.CLOSE)
     )
     data[position % len(data)] = byte
@@ -175,6 +190,15 @@ def test_bad_json_payloads_rejected(payload):
         {"protocol": protocol.PROTOCOL, "analyses": ["a"], "session": 3},
         {"protocol": protocol.PROTOCOL, "analyses": ["a"], "resume": True},
         {"protocol": protocol.PROTOCOL, "analyses": ["a"], "name": 1},
+        # bool is an int subclass, but not an epoch
+        {"protocol": protocol.PROTOCOL, "analyses": ["a"], "epoch": True},
+        # flags must be JSON booleans, not truthy strings or numbers
+        {
+            "protocol": protocol.PROTOCOL, "analyses": ["a"],
+            "session": "s", "resume": "false",
+        },
+        {"protocol": protocol.PROTOCOL, "analyses": ["a"], "packed": "no"},
+        {"protocol": protocol.PROTOCOL, "analyses": ["a"], "lenient": 0},
     ],
 )
 def test_bad_hellos_rejected(hello):
@@ -200,14 +224,6 @@ def test_hello_normalizes_specs():
 
 
 # -- EVENTS payloads --------------------------------------------------------
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10**6))
-def test_text_events_round_trip(seed):
-    events = make_events(seed % 100)
-    decoded, base = decode_events_ex(encode_events_text(events, base=seed))
-    assert eq_events(decoded, events) and base == seed
 
 
 @settings(max_examples=40, deadline=None)
@@ -275,27 +291,39 @@ def test_delta_truncation_never_crashes(seed, cut):
         DeltaDecoder().decode(truncated)
 
 
-def test_delta_needs_a_decoder():
-    payload = DeltaEncoder().encode(make_events(1), base=0)
-    with pytest.raises(PayloadError, match="decoder"):
-        decode_events_ex(payload)
-
-
 def test_unknown_encoding_tag_rejected():
-    with pytest.raises(PayloadError, match="encoding tag"):
-        decode_events_ex(bytes([7]) + b"rest")
+    # 0/1 were the unpositioned forms and 2 the .std text lines; a
+    # well-formed old frame must fail typed, not decode as garbage.
+    for tag in (0, 2, 7):
+        with pytest.raises(PayloadError, match="encoding tag"):
+            decode_events_ex(positioned(b"t1|w(x)", tag=tag), DeltaDecoder())
 
 
-def test_bad_text_lines_rejected():
-    with pytest.raises(PayloadError):
-        decode_events_ex(positioned_text(b"t1|frobnicate(x)"))
-    with pytest.raises(PayloadError):
-        decode_events_ex(positioned_text(b"\xff\xfe"))
-
-
-def test_text_events_skip_comments_and_blanks():
-    decoded, _ = decode_events_ex(positioned_text(b"# header\n\nt1|w(x)\n"))
-    assert len(decoded) == 1 and decoded[0].thread == "t1"
+@pytest.mark.parametrize(
+    "body, error",
+    [
+        (
+            raw_delta_body([[b"x"], [], [b"t1"], []], [(0, 8, 0)]),
+            "unknown op code 8",
+        ),
+        (
+            raw_delta_body([[], [], [b"t1"], []], [(0, Op.FORK, -1)]),
+            "FORK event without a target",
+        ),
+        (
+            raw_delta_body([[b"\xff\xfe"], [], [b"t1"], []], [(0, Op.WRITE, 0)]),
+            "bad name encoding",
+        ),
+        (
+            raw_delta_body([[b"x"], [], [b"t1"], []], [(0, Op.WRITE, 1)]),
+            "target index 1 unknown",
+        ),
+    ],
+    ids=["op-code-8", "fork-without-target", "name-not-utf8", "target-past-table"],
+)
+def test_bad_delta_bodies_rejected(body, error):
+    with pytest.raises(PayloadError, match=error):
+        decode_events_ex(positioned(body), DeltaDecoder())
 
 
 # -- the resume seam: positioned frames across a handoff ---------------------
