@@ -106,9 +106,6 @@ class AeroDromeChecker(StreamingChecker):
             self._lock_pub.append(None)
         return l
 
-    def _has_active_transaction(self, t: int) -> bool:
-        return self._depth[t] > 0
-
     def thread_clock(self, name: str) -> VectorClock:
         """Read-only view of C_t (⊥ for threads not yet observed) —
         exposed for tests and expository code."""

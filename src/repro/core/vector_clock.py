@@ -139,19 +139,6 @@ class VectorClock:
                 return False
         return True
 
-    def leq_local(self, other: "VectorClock", thread: int) -> bool:
-        """The O(1) local-component comparison ``V(thread) <= other(thread)``.
-
-        For the event timestamps the optimized algorithms maintain, this
-        single component decides the ⋖E-path checks (Appendix C.1); it is
-        *not* the pointwise order for arbitrary vectors.
-        """
-        mine = self._times
-        theirs = other._times
-        a = mine[thread] if thread < len(mine) else 0
-        b = theirs[thread] if thread < len(theirs) else 0
-        return a <= b
-
     def join(self, other: "VectorClock") -> None:
         """In-place join: ``V := V ⊔ other``."""
         theirs = other._times

@@ -400,7 +400,7 @@ class ShardWorker:
         return {
             "position": session.position,
             "findings": session.drain_findings(),
-            "findings_total": len(session.findings),
+            "findings_total": session.findings_total,
             "error": session.error,
             "error_code": session.error_code,
             "out_of_sync": session.out_of_sync,

@@ -6,9 +6,10 @@ lifecycle) with what a long-running service additionally needs:
 * **identity** — a stable session id (the shard routing key);
 * **position** — how many events have been ingested, which is what a
   resuming client uses to know where to restart its stream;
-* **a monotonic violation log** — findings are observed after every
-  batch and appended exactly once, so ``FLUSH`` frames can ship *new*
-  findings while the stream is still running;
+* **finding delivery by cursor** — findings stay in the analyses' own
+  lists, named by ``(analysis, index)`` ids; ``FLUSH`` frames convert
+  and ship only those past the delivered cursor, while the stream is
+  still running;
 * **a checkpoint handle** — :meth:`to_bytes`/:meth:`from_bytes` freeze
   and thaw the complete analysis state (riding
   :func:`repro.core.snapshot.freeze`), which is what
@@ -69,12 +70,6 @@ class StreamingSession:
         self.packed = packed
         self.session = Session(None, instances, name=name)
         self.events_fed = 0
-        #: Every finding observed so far, in detection order; each entry
-        #: is ``{"analysis": name, "finding": {...}}``. Grows only.
-        self.findings: List[Dict[str, Any]] = []
-        #: Index into :attr:`findings` up to which the client has been
-        #: told (advanced by :meth:`drain_findings`).
-        self.delivered = 0
         self.error: Optional[str] = None
         #: Machine-readable failure class when :attr:`error` is set
         #: (``"analysis"``, ``"feed"``, …) — the quarantine code.
@@ -89,7 +84,12 @@ class StreamingSession:
         #: report can be trusted. Cleared when the stream re-aligns.
         self.out_of_sync = False
         self.result: Optional[SessionResult] = None
+        #: Findings observed per analysis; their order as ``(analysis
+        #: index, start, end)`` id runs, one per analysis per batch that
+        #: surfaced any; and how many runs have been drained.
         self._counts = [0] * len(instances)
+        self._segments: List[Tuple[int, int, int]] = []
+        self._cursor = 0
 
     # -- streaming ---------------------------------------------------------
 
@@ -97,10 +97,6 @@ class StreamingSession:
     def position(self) -> int:
         """Events ingested so far — the client's resume offset."""
         return self.events_fed
-
-    @property
-    def closed(self) -> bool:
-        return self.result is not None
 
     @property
     def quarantined(self) -> bool:
@@ -169,25 +165,40 @@ class StreamingSession:
         """The final ``repro-report/1`` document (finishing if needed)."""
         return self.finish().to_json()
 
-    # -- the violation log -------------------------------------------------
+    # -- finding delivery --------------------------------------------------
 
     def _observe(self) -> int:
-        """Append findings that appeared since the last observation."""
-        new = 0
+        """Record the finding ids that appeared since the last observation."""
+        before = self.findings_total
         for i, analysis in enumerate(self.session.analyses):
-            current = _current_findings(analysis)
-            for finding in current[self._counts[i] :]:
-                self.findings.append(
-                    {"analysis": self.analysis_names[i], "finding": finding}
-                )
-                new += 1
-            self._counts[i] = len(current)
-        return new
+            start, end = self._counts[i], len(_current_findings(analysis))
+            if end > start:
+                self._segments.append((i, start, end))
+                self._counts[i] = end
+        return self.findings_total - before
+
+    def _findings_from(self, first: int) -> List[Dict[str, Any]]:
+        """Convert the findings of runs ``first`` onwards, in order."""
+        analyses, names = self.session.analyses, self.analysis_names
+        return [
+            {"analysis": names[i], "finding": finding_dict(f)}
+            for i, start, end in self._segments[first:]
+            for f in _current_findings(analyses[i])[start:end]
+        ]
+
+    @property
+    def findings(self) -> List[Dict[str, Any]]:
+        """Every finding so far, in delivery order (converted per call)."""
+        return self._findings_from(0)
+
+    @property
+    def findings_total(self) -> int:
+        return sum(self._counts)
 
     def drain_findings(self) -> List[Dict[str, Any]]:
         """Findings not yet shipped to the client (advances the cursor)."""
-        fresh = self.findings[self.delivered :]
-        self.delivered = len(self.findings)
+        fresh = self._findings_from(self._cursor)
+        self._cursor = len(self._segments)
         return fresh
 
     # -- checkpointing -----------------------------------------------------
@@ -213,11 +224,13 @@ class StreamingSession:
                 f"checkpoint holds a {type(session).__name__}, "
                 "not a StreamingSession"
             )
+        if not hasattr(session, "_segments"):  # frozen with a finding log
+            raise CheckpointError("session checkpoint predates finding ids")
         return session
 
 
-def _current_findings(analysis: Analysis) -> List[Dict[str, Any]]:
-    """The findings an analysis can surface *mid-stream*, normalized.
+def _current_findings(analysis: Analysis) -> Sequence[Any]:
+    """The findings an analysis can surface *mid-stream* (its own list).
 
     Checker analyses expose their violation(s) as they are found;
     streaming detectors with an incremental findings list (races) do
@@ -227,11 +240,8 @@ def _current_findings(analysis: Analysis) -> List[Dict[str, Any]]:
     """
     if isinstance(analysis, CheckerAnalysis):
         if analysis.mode == "report_all":
-            return [finding_dict(v) for v in analysis.violations]
+            return analysis.violations
         found = analysis.checker.violation or analysis._found
-        return [finding_dict(found)] if found is not None else []
+        return (found,) if found is not None else ()
     detector = getattr(analysis, "detector", None)
-    races = getattr(detector, "races", None)
-    if races is not None:
-        return [finding_dict(r) for r in races]
-    return []
+    return getattr(detector, "races", None) or ()

@@ -24,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.api import Session, validate_report
+from repro.core.snapshot import CheckpointError
 from repro.service import (
     BusyError,
     RemoteChecker,
@@ -37,6 +38,7 @@ from repro.service import (
 )
 from repro.service.recovery import RecoveryError, RecoveryManager
 from repro.sim import trace_zoo
+from repro.sim.workloads.benchmarks import get_case
 from repro.trace.events import Event, Op
 from repro.trace.trace import Trace
 
@@ -86,16 +88,61 @@ class TestStreamingSession:
         assert any(f["analysis"] == "aerodrome" for f in drained)
 
     def test_checkpoint_round_trip_mid_stream(self):
-        spec = trace_zoo.get("lock-cycle")
-        events = list(spec.trace())
-        half = len(events) // 2
-        session = StreamingSession("s3", ANALYSES, name=spec.name)
-        session.feed(events[:half])
-        restored = StreamingSession.from_bytes(session.to_bytes())
-        assert restored.position == half
-        restored.feed(events[half:])
-        base = offline_doc(spec.trace(), name=spec.name)
-        assert restored.report()["analyses"] == base["analyses"]
+        """A thawed session finishes like the offline run, and its drains
+        pick up at the frozen cursor: together with the drains before the
+        freeze they are exactly an uninterrupted session's drains."""
+        raytracer = get_case("raytracer").generate(seed=3, scale=0.01)
+
+        def stream(session, events, seed):
+            drains = []
+            for k, batch in enumerate(batches(events, seed=seed)):
+                session.feed(batch)
+                if k % 3 == 0:
+                    drains.append(session.drain_findings())
+            return drains
+
+        undelivered = 0
+        for trace in (trace_zoo.get("lock-cycle").trace(), raytracer):
+            events = list(trace)
+            half = len(events) // 2
+            session = StreamingSession("s3", ANALYSES, name=trace.name)
+            uninterrupted = StreamingSession("s3", ANALYSES, name=trace.name)
+            drains = stream(session, events[:half], seed=3)
+            expected = stream(uninterrupted, events[:half], seed=3)
+            restored = StreamingSession.from_bytes(session.to_bytes())
+            assert restored.position == half
+            undelivered += restored.findings_total - sum(map(len, drains))
+            drains += stream(restored, events[half:], seed=4)
+            expected += stream(uninterrupted, events[half:], seed=4)
+            base = offline_doc(trace)
+            assert restored.report()["analyses"] == base["analyses"]
+            uninterrupted.finish()
+            drains.append(restored.drain_findings())
+            expected.append(uninterrupted.drain_findings())
+            assert drains == expected, trace.name
+        assert undelivered > 0  # the freeze held findings not yet shipped
+
+    def test_findings_are_converted_only_when_drained(self, monkeypatch):
+        """Feeding records finding ids only: no finding is converted on
+        the ingest path, and a drain converts exactly what it ships."""
+        import repro.service.session as session_module
+
+        converted = []
+        real = session_module.finding_dict
+
+        def counting(finding):
+            converted.append(finding)
+            return real(finding)
+
+        monkeypatch.setattr(session_module, "finding_dict", counting)
+        events = list(get_case("raytracer").generate(seed=3, scale=0.01))
+        session = StreamingSession("s5", ANALYSES, name="raytracer")
+        for k in range(0, len(events), 8):
+            session.feed(events[k : k + 8])
+        assert converted == []
+        shipped = session.drain_findings()
+        assert len(shipped) == session.findings_total > 100
+        assert len(converted) == len(shipped)
 
     def test_feed_after_close_rejected(self):
         session = StreamingSession("s4", ["aerodrome"])
@@ -214,6 +261,36 @@ def test_zoo_agreement_over_live_server(server):
         assert doc["verdict"] == base["verdict"], spec.name
         assert doc["trace"]["events"] == base["trace"]["events"], spec.name
         validate_report(doc)
+
+
+def test_flush_findings_equal_offline_violations(server):
+    """FLUSH + CLOSE findings, grouped per analysis, are each analysis's
+    offline violations in order, for any batching and FLUSH cadence.
+    Only checker and races analyses surface findings mid-stream; lockset
+    warnings arrive in the CLOSE report alone."""
+    traces = [spec.trace() for spec in trace_zoo.all_specimens()]
+    traces.append(get_case("raytracer").generate(seed=3, scale=0.01))
+    for i, trace in enumerate(traces):
+        rng = random.Random(i)
+        events = list(trace)
+        with ServiceClient(server.host, server.port) as client:
+            handle = client.open_session(ANALYSES, name=trace.name)
+            sent = 0
+            while sent < len(events):
+                sent += handle.send(events[sent : sent + rng.randint(1, 40)])
+                if rng.random() < 0.5:
+                    handle.flush()
+            doc = handle.result()
+        base = offline_doc(trace)
+        assert doc["analyses"] == base["analyses"], trace.name
+        groups = {name: [] for name in ANALYSES}
+        for entry in handle.findings:
+            groups[entry["analysis"]].append(entry["finding"])
+        for report in base["analyses"]:
+            name = report["analysis"]
+            expected = [] if name == "lockset" else report["violations"]
+            assert groups[name] == expected, (trace.name, name)
+    assert groups["races"]  # the raytracer trace is race-heavy
 
 
 def test_zoo_agreement_with_restart_mid_stream(tmp_path):
@@ -455,6 +532,25 @@ def test_remote_checker_reports_violation(server):
 
 
 class TestRecovery:
+    def test_old_layout_checkpoint_is_salvaged(self, tmp_path):
+        """A session frozen with a stored finding log and no finding-id
+        runs fails typed at thaw, so recovery moves its spool entry
+        aside instead of resuming a session that breaks at first use."""
+        spec = trace_zoo.get("three-party-cycle")
+        session = StreamingSession("old", ANALYSES, name=spec.name)
+        session.feed(list(spec.trace()))
+        state = vars(session)
+        state["findings"], state["delivered"] = session.findings, 0
+        del state["_segments"], state["_cursor"]
+        with pytest.raises(CheckpointError, match="predates"):
+            StreamingSession.from_bytes(session.to_bytes())
+        manager = RecoveryManager(tmp_path / "spool")
+        manager.save(session)
+        with Router(recovery=manager) as router:
+            assert router.recover() == []
+        assert [Path(s["file"]).suffix for s in router.salvaged] == [".bad"]
+        assert manager.session_ids() == []
+
     def test_spool_round_trip(self, tmp_path):
         manager = RecoveryManager(tmp_path / "spool")
         spec = trace_zoo.get("paper-rho4")
