@@ -32,7 +32,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
+from ..core.checker import make_packed_step
 from ..trace.events import Event, Op
+from ..trace.packed import PackedTrace
 
 
 class VarState(Enum):
@@ -68,12 +70,32 @@ class LocksetWarning:
         )
 
 
-@dataclass
+_VIRGIN, _EXCLUSIVE = VarState.VIRGIN, VarState.EXCLUSIVE
+_SHARED, _SHARED_MODIFIED = VarState.SHARED, VarState.SHARED_MODIFIED
+_READ, _WRITE, _ACQUIRE, _RELEASE = Op.READ, Op.WRITE, Op.ACQUIRE, Op.RELEASE
+
+
+class _ThreadState:
+    """Per-thread state: the locks the thread holds right now."""
+
+    __slots__ = ("name", "held")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.held: FrozenSet[str] = frozenset()
+
+
 class _VarInfo:
-    state: VarState = VarState.VIRGIN
-    owner: Optional[str] = None
-    candidates: Optional[FrozenSet[str]] = None  # None = "all locks"
-    reported: bool = False
+    """Per-variable state: ownership state, owner and candidate set."""
+
+    __slots__ = ("name", "state", "owner", "candidates", "reported")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.state = VarState.VIRGIN
+        self.owner: Optional[_ThreadState] = None
+        self.candidates: Optional[FrozenSet[str]] = None  # None = "all locks"
+        self.reported = False
 
 
 @dataclass
@@ -100,19 +122,39 @@ class LocksetAnalyzer:
     :attr:`warnings` (one per variable — Eraser reports each variable at
     most once). :meth:`is_racy` answers "has this variable ever been
     flagged", which is what Atomizer's mover classification consumes.
+
+    Per-op handlers take ``(thread_state, target_state, idx)``:
+    :meth:`process` interns an event's names and calls them, and
+    :meth:`packed_step` hands the same handlers to
+    :func:`~repro.core.checker.make_packed_step`. Each thread keeps its
+    held locks as a frozenset replaced on acquire/release, so an access
+    to a known variable allocates nothing unless it shrinks ``C(x)``.
     """
 
+    #: Attributes a checkpointed analyzer must carry (see __setstate__).
+    _LAYOUT = frozenset({"warnings", "events_processed", "_threads", "_vars"})
+
     def __init__(self) -> None:
-        self._held: Dict[str, Set[str]] = {}  # locks held per thread
+        self._threads: Dict[str, _ThreadState] = {}
         self._vars: Dict[str, _VarInfo] = {}
         self.warnings: List[LocksetWarning] = []
         self.events_processed = 0
+
+    def __setstate__(self, state) -> None:
+        missing = self._LAYOUT - state.keys()
+        if missing:
+            raise ValueError(
+                "LocksetAnalyzer state predates per-thread lock sets "
+                f"(missing {', '.join(sorted(missing))})"
+            )
+        self.__dict__.update(state)
 
     # -- queries ---------------------------------------------------------
 
     def locks_held(self, thread: str) -> FrozenSet[str]:
         """The lock set currently held by ``thread``."""
-        return frozenset(self._held.get(thread, ()))
+        state = self._threads.get(thread)
+        return state.held if state is not None else frozenset()
 
     def is_racy(self, variable: str) -> bool:
         """Whether ``variable`` has been flagged by the analysis."""
@@ -133,69 +175,111 @@ class LocksetAnalyzer:
         info = self._vars.get(variable)
         return info.state if info is not None else VarState.VIRGIN
 
+    # -- interning ---------------------------------------------------------
+
+    def _thread(self, name: str) -> _ThreadState:
+        state = self._threads.get(name)
+        if state is None:
+            state = self._threads[name] = _ThreadState(name)
+        return state
+
+    def _var(self, name: str) -> _VarInfo:
+        info = self._vars.get(name)
+        if info is None:
+            info = self._vars[name] = _VarInfo(name)
+        return info
+
+    @staticmethod
+    def _lock(name: str) -> str:
+        # A lock carries no state of its own: held sets hold its name.
+        return name
+
     # -- the state machine -------------------------------------------------
 
-    def _access(self, event: Event, is_write: bool) -> Optional[LocksetWarning]:
-        variable = event.target
-        assert variable is not None
-        thread = event.thread
-        info = self._vars.setdefault(variable, _VarInfo())
-
-        if info.state is VarState.VIRGIN:
-            info.state = VarState.EXCLUSIVE
-            info.owner = thread
-            return None
-
-        if info.state is VarState.EXCLUSIVE:
-            if info.owner == thread:
+    def _access(
+        self, ts: _ThreadState, info: _VarInfo, idx: int, is_write: bool
+    ) -> Optional[LocksetWarning]:
+        self.events_processed += 1
+        state = info.state
+        if state is _EXCLUSIVE:
+            if info.owner is ts:
                 return None
             # First genuinely shared access: initialize the candidate
             # set from the locks held *now* and move to a shared state.
-            info.candidates = self.locks_held(thread)
-            info.state = (
-                VarState.SHARED_MODIFIED if is_write else VarState.SHARED
-            )
+            info.candidates = ts.held
+            state = info.state = _SHARED_MODIFIED if is_write else _SHARED
+        elif state is _VIRGIN:
+            info.state = _EXCLUSIVE
+            info.owner = ts
+            return None
         else:
-            assert info.candidates is not None
-            info.candidates = info.candidates & self.locks_held(thread)
+            if not info.candidates <= ts.held:  # C(x) shrinks
+                info.candidates = info.candidates & ts.held
             if is_write:
-                info.state = VarState.SHARED_MODIFIED
+                state = info.state = _SHARED_MODIFIED
 
-        if (
-            info.state is VarState.SHARED_MODIFIED
-            and not info.candidates
-            and not info.reported
-        ):
+        if state is _SHARED_MODIFIED and not info.candidates and not info.reported:
             info.reported = True
-            warning = LocksetWarning(
-                event_idx=event.idx,
-                variable=variable,
-                thread=thread,
-                is_write=is_write,
-            )
+            warning = LocksetWarning(idx, info.name, ts.name, is_write)
             self.warnings.append(warning)
             return warning
         return None
 
+    def _read(self, ts: _ThreadState, info: _VarInfo, idx: int):
+        return self._access(ts, info, idx, False)
+
+    def _write(self, ts: _ThreadState, info: _VarInfo, idx: int):
+        return self._access(ts, info, idx, True)
+
+    def _acquire(self, ts: _ThreadState, lock: str, idx: int) -> None:
+        self.events_processed += 1
+        if lock not in ts.held:
+            ts.held = ts.held | {lock}
+
+    def _release(self, ts: _ThreadState, lock: str, idx: int) -> None:
+        self.events_processed += 1
+        if lock in ts.held:
+            ts.held = ts.held - {lock}
+
+    # fork/join/begin/end are invisible to Eraser — that blindness is
+    # exactly what makes the analysis unsound (false positives on
+    # fork/join-synchronized programs).
+
+    def _thread_edge(self, ts: _ThreadState, child: _ThreadState, idx: int) -> None:
+        self.events_processed += 1
+
+    def _marker(self, ts: _ThreadState, idx: int) -> None:
+        self.events_processed += 1
+
+    # -- dispatch ----------------------------------------------------------
+
     def process(self, event: Event) -> Optional[LocksetWarning]:
         """Consume one event; return a warning iff this access is flagged."""
+        threads = self._threads
+        name = event.thread
+        ts = threads[name] if name in threads else self._thread(name)
         op = event.op
-        warning: Optional[LocksetWarning] = None
-        if op is Op.ACQUIRE:
-            assert event.target is not None
-            self._held.setdefault(event.thread, set()).add(event.target)
-        elif op is Op.RELEASE:
-            assert event.target is not None
-            self._held.get(event.thread, set()).discard(event.target)
-        elif op is Op.READ:
-            warning = self._access(event, is_write=False)
-        elif op is Op.WRITE:
-            warning = self._access(event, is_write=True)
-        # fork/join/begin/end are invisible to Eraser — that blindness is
-        # exactly what makes the analysis unsound (false positives on
-        # fork/join-synchronized programs).
-        self.events_processed += 1
-        return warning
+        if op is _READ or op is _WRITE:
+            target = event.target
+            variables = self._vars
+            info = variables[target] if target in variables else self._var(target)
+            return self._access(ts, info, event.idx, op is _WRITE)
+        if op is _ACQUIRE:
+            self._acquire(ts, event.target, event.idx)
+        elif op is _RELEASE:
+            self._release(ts, event.target, event.idx)
+        else:
+            self._marker(ts, event.idx)
+        return None
+
+    def packed_step(self, packed: PackedTrace):
+        """A ``step(op, thread, target, idx)`` over ``packed``'s records,
+        dispatching to the same handlers as :meth:`process`."""
+        return make_packed_step(
+            packed, self._thread, self._var, self._lock,
+            self._read, self._write, self._acquire, self._release,
+            self._thread_edge, self._thread_edge, self._marker, self._marker,
+        )
 
     def report(self) -> LocksetReport:
         """Snapshot the warnings and per-variable states."""

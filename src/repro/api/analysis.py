@@ -310,6 +310,9 @@ class RacesAnalysis(Analysis):
         self.detector = FastTrackDetector()
         self.step = self.detector.process  # bound hot path
 
+    def bind_packed(self, packed: PackedTrace):
+        return self.detector.packed_step(packed)
+
     def finish(self) -> Report:
         races = self.detector.races
         verdict = not races
@@ -345,6 +348,9 @@ class LocksetAnalysis(Analysis):
 
         self.analyzer = LocksetAnalyzer()
         self.step = self.analyzer.process
+
+    def bind_packed(self, packed: PackedTrace):
+        return self.analyzer.packed_step(packed)
 
     def finish(self) -> Report:
         report = self.analyzer.report()

@@ -11,8 +11,8 @@ it against a real ``repro check --json`` invocation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, is_dataclass, asdict
-from typing import Any, Dict, List, Mapping, Optional
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 #: Version tag stamped into every serialized session result.
 SCHEMA = "repro-report/1"
@@ -23,16 +23,37 @@ VERDICT_FAIL = "fail"
 VERDICT_UNDECIDED = "undecided"
 
 
+#: Field values ``asdict`` would return as-is (its deep copy is identity).
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+#: Finding class -> its field names, or ``None`` for non-dataclasses.
+_FIELD_NAMES: Dict[type, Optional[Tuple[str, ...]]] = {}
+
+
 def finding_dict(finding: Any) -> Dict[str, Any]:
     """Normalize one finding (Violation, Race, LocksetWarning, …) to a dict.
 
-    Dataclasses serialize field-by-field; anything else falls back to a
-    ``{"details": str(finding)}`` record so exotic plugin findings never
-    break the schema.
+    Dataclasses serialize field-by-field, exactly as
+    :func:`dataclasses.asdict` would: fields are read by a per-class
+    cached name tuple, and any field value that is not a plain scalar
+    falls back to ``asdict`` itself (which deep-copies containers).
+    Anything else becomes a ``{"details": str(finding)}`` record so
+    exotic plugin findings never break the schema.
     """
-    if is_dataclass(finding) and not isinstance(finding, type):
-        return asdict(finding)
-    return {"details": str(finding)}
+    cls = type(finding)
+    try:
+        names = _FIELD_NAMES[cls]
+    except KeyError:
+        names = _FIELD_NAMES[cls] = (
+            tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
+        )
+    if names is None:
+        return {"details": str(finding)}
+    out = {name: getattr(finding, name) for name in names}
+    for value in out.values():
+        if type(value) not in _SCALARS:
+            return asdict(finding)
+    return out
 
 
 @dataclass

@@ -7,11 +7,11 @@ any number of analyses (instances, or registry names resolved through
 :mod:`repro.api.registry`), then drives them all over a **single**
 event sweep:
 
-* on the packed path, checker analyses step through their per-op
-  dispatch tables over the shared integer arrays (the trace's interners
-  are compiled once and shared by construction), while event-based
-  analyses receive each reconstructed event exactly once, shared among
-  all of them;
+* on the packed path, checker, race and lockset analyses step through
+  their per-op dispatch tables over the shared integer arrays (the
+  trace's interners are compiled once and shared by construction),
+  while event-based analyses receive each reconstructed event exactly
+  once, shared among all of them;
 * on the string path, every analysis steps on the same event object;
 * an analysis that declares itself ``finished`` (a stop-first checker
   after its violation, a limited report-all run) drops out of the

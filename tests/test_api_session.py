@@ -276,6 +276,42 @@ class TestJsonSchema:
         assert result["viewserial"].verdict is None
         assert result.verdict_label == "fail"
 
+    def test_finding_dict_equals_asdict(self):
+        """The cached-field fast path is ``asdict`` exactly, for every
+        finding type in the package, with both fallbacks intact."""
+        from dataclasses import asdict, dataclass, field
+
+        from repro.api.report import finding_dict
+
+        findings = []
+        for name in SPECIMENS:
+            trace = _zoo(name)
+            findings += find_all_violations(trace)
+            findings += find_races(trace)
+            findings += lockset_analysis(trace).warnings
+        kinds = {type(f).__name__ for f in findings}
+        assert kinds == {"Violation", "Race", "LocksetWarning"}
+        for finding in findings:
+            assert finding_dict(finding) == asdict(finding)
+
+        @dataclass
+        class PluginFinding:
+            thread: str
+            path: list = field(default_factory=list)
+
+        plugin = PluginFinding("t1", [["a", 1]])
+        converted = finding_dict(plugin)
+        assert converted == asdict(plugin)
+        assert converted["path"] is not plugin.path
+        assert converted["path"][0] is not plugin.path[0]
+
+        class Opaque:
+            def __str__(self):
+                return "opaque finding"
+
+        assert finding_dict(Opaque()) == {"details": "opaque finding"}
+        assert finding_dict(PluginFinding) == {"details": str(PluginFinding)}
+
     def test_malformed_documents_rejected(self, rho1):
         good = run(rho1, ["aerodrome"]).to_json()
         for mutate in (

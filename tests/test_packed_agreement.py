@@ -7,14 +7,21 @@ smoke gates on, and what licenses every epoch/SWAR shortcut in the
 packed handlers. The epoch-fallback unit tests at the bottom pin the
 cases the memoization must not break: clocks growing when threads
 appear mid-trace, re-publication after end-event propagation, and the
-report-and-continue stream.
+report-and-continue stream. FastTrack races and the Eraser lockset get
+the same treatment: their packed steps must reproduce the string
+reports exactly, finding order included, across a mid-stream
+checkpoint restore too.
 """
+
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import check, conflict_serializable, make_checker
+from repro.api import Session
 from repro.core.multi import find_all_violations
+from repro.sim import trace_zoo
 from repro.sim.random_traces import RandomTraceConfig, random_trace
 from repro.trace.packed import pack
 from repro.trace.trace import Trace
@@ -103,6 +110,50 @@ def test_packed_report_and_continue_matches_string(seed):
         assert [(v.event_idx, v.thread, v.site) for v in via_string] == [
             (v.event_idx, v.thread, v.site) for v in via_packed
         ]
+
+
+CORUN_ANALYSES = ["races", "lockset"]
+
+
+def assert_corun_packed_agrees(trace):
+    """races + lockset: packed == string, report for report, including
+    a packed session checkpointed and restored mid-stream."""
+    expected = Session(trace, CORUN_ANALYSES).run()
+    packed = pack(trace)
+    session = Session(packed, CORUN_ANALYSES)
+    result = session.run()
+    assert session._event_live == []  # both analyses bound packed
+    streaming = Session(None, CORUN_ANALYSES)
+    half = len(packed) // 2
+    streaming.feed(packed[:half])
+    restored = pickle.loads(pickle.dumps(streaming))  # rebinds packed steps
+    restored.feed(packed[half:])
+    assert restored._event_live == []
+    resumed = restored.finish()
+    for got in (result, resumed):
+        for name in CORUN_ANALYSES:
+            assert got[name].to_json() == expected[name].to_json()
+        assert got["races"].native == expected["races"].native
+        want = expected["lockset"].native
+        assert got["lockset"].native.warnings == want.warnings
+        assert got["lockset"].native.final_states == want.final_states
+
+
+@settings(max_examples=75, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.booleans())
+def test_races_and_lockset_packed_agreement(seed, with_forks):
+    trace = random_trace(
+        seed,
+        RandomTraceConfig(
+            n_threads=4, n_vars=3, n_locks=2, length=60, with_forks=with_forks
+        ),
+    )
+    assert_corun_packed_agrees(trace)
+
+
+@pytest.mark.parametrize("specimen", trace_zoo.names())
+def test_races_and_lockset_packed_agreement_on_zoo(specimen):
+    assert_corun_packed_agrees(trace_zoo.get(specimen).trace())
 
 
 def test_check_accepts_packed():

@@ -551,6 +551,37 @@ class TestRecovery:
         assert [Path(s["file"]).suffix for s in router.salvaged] == [".bad"]
         assert manager.session_ids() == []
 
+    @pytest.mark.parametrize("analysis", ["races", "lockset"])
+    def test_old_layout_detector_is_salvaged(self, tmp_path, analysis):
+        """A fresh session whose race detector or lockset analyzer has
+        the dict-of-objects layout that predates int clocks and
+        per-thread lock sets fails typed at thaw (not with an
+        AttributeError at its first feed), and recovery moves the spool
+        entry aside."""
+        from repro.core.vector_clock import ThreadRegistry
+
+        session = StreamingSession("old", ANALYSES, name="old")
+        index = ANALYSES.index(analysis)
+        wrapper = session.session.analyses[index]
+        if analysis == "races":
+            state = vars(wrapper.detector)
+            old = {"races": [], "_threads": ThreadRegistry(), "_clock": {},
+                   "_locks": {}, "_vars": {}, "events_processed": 0}
+        else:
+            state = vars(wrapper.analyzer)
+            old = {"_held": {}, "_vars": {}, "warnings": [],
+                   "events_processed": 0}
+        state.clear()
+        state.update(old)
+        with pytest.raises(CheckpointError, match="predates"):
+            StreamingSession.from_bytes(session.to_bytes())
+        manager = RecoveryManager(tmp_path / "spool")
+        manager.save(session)
+        with Router(recovery=manager) as router:
+            assert router.recover() == []
+        assert [Path(s["file"]).suffix for s in router.salvaged] == [".bad"]
+        assert manager.session_ids() == []
+
     def test_spool_round_trip(self, tmp_path):
         manager = RecoveryManager(tmp_path / "spool")
         spec = trace_zoo.get("paper-rho4")
