@@ -1,25 +1,45 @@
 """Checkpointed recovery: the service's durability layer.
 
-Rides :mod:`repro.core.snapshot` — the same freeze/thaw core and the
-same guarantee (Theorem 4 keeps checker state constant-size, so
-checkpoints stay small no matter how long a stream runs) — but at the
-*session* level: one :class:`SessionCheckpoint` freezes every analysis
-a tenant is running, plus the stream position.
+Rides :mod:`repro.core.snapshot` — the same freeze/thaw core — but at
+the *session* level: one :class:`SessionCheckpoint` freezes every
+analysis a tenant is running, plus the stream position.
 
-The :class:`RecoveryManager` spools checkpoints to a directory, one
-file per session, written atomically (temp file + ``os.replace``) so a
-``kill -9`` can never leave a half-written checkpoint where a good one
-used to be. Every entry additionally carries a CRC32 of its frozen
-payload, so damage the rename discipline cannot prevent — bit rot, a
+The :class:`RecoveryManager` keeps two files per session in a spool
+directory:
+
+* ``<id>.ckpt`` — an ``RSPOOL2`` **snapshot**, written atomically
+  (temp file + ``os.replace``) so a ``kill -9`` can never leave a
+  half-written snapshot where a good one used to be;
+* ``<id>.log`` — an append-only **log** of the events fed since that
+  snapshot: one record per checkpoint interval, each one positioned
+  ``DELTA_EVENTS_POS`` payload (:class:`~repro.service.protocol.DeltaEncoder`,
+  fresh at every snapshot, so a log decodes on its own) behind a length
+  and a CRC32. The log header names the session and the snapshot it
+  extends (position and payload CRC32), so a log left behind by an older
+  snapshot is never replayed onto a newer one.
+
+A checkpoint appends to the log, and writes a full snapshot (resetting
+the log) only when the log would grow past the snapshot's bytes. The
+frozen state is not constant-size — the race detector's findings list
+grows with the stream — so rewriting it every interval would write
+quadratic bytes; this geometric schedule writes amortized O(1) bytes
+per event, and replaying a log never costs more than the snapshot it
+extends. Restoring is thaw + replay of the log's good records through
+:meth:`StreamingSession.feed`; a torn or corrupt tail is cut off, which
+loses only events past the last good record.
+
+Every snapshot carries a CRC32 of its frozen payload and every record
+its own, so damage the rename discipline cannot prevent — bit rot, a
 truncating filesystem, a torn write by a non-atomic writer — is
-*detected*, not deserialized: any defect raises the typed
-:class:`RecoveryError`, and restart-time recovery **salvages** around
-it (the bad entry is quarantined to ``*.bad`` and reported; every
-healthy sibling still recovers). A corrupt spool can degrade one
-session, never crash the server.
+*detected*, not deserialized: a bad snapshot, or a CRC-valid record
+that will not replay, raises the typed :class:`RecoveryError`, and
+restart-time recovery **salvages** around it (the bad entry is
+quarantined to ``*.bad`` and reported; every healthy sibling still
+recovers). A corrupt spool can degrade one session, never crash the
+server.
 
 On restart the server reloads every recoverable spooled session and
-re-opens it at its checkpointed position; a resuming client learns that
+re-opens it at its recovered position; a resuming client learns that
 position from the HELLO response and re-sends only the remainder of its
 stream. Because feed-in-any-chunking ≡ ``run()`` (the
 ``tests/test_api_feed.py`` property) and checkpoint/restore is
@@ -28,11 +48,12 @@ an uninterrupted one — the service extension of the
 ``tests/test_snapshot.py`` equivalence property, asserted end-to-end by
 CI's ``service-smoke`` and ``chaos-smoke`` jobs.
 
-Fault site (see :mod:`repro.faults`): ``spool.write`` — ``torn``
-(a partial payload reaches the final path), ``corrupt`` (one payload
-byte flipped after the write), ``enospc`` (the write fails with
-``ENOSPC``). ``tests/test_spool_fuzz.py`` additionally fuzzes the
-on-disk bytes directly.
+Fault site (see :mod:`repro.faults`): ``spool.write``, fired by every
+:meth:`RecoveryManager.save` — ``torn`` (a partial snapshot payload or
+log record reaches disk), ``corrupt`` (one bit of it flipped after the
+write), ``enospc`` (the save fails with ``ENOSPC``).
+``tests/test_spool_fuzz.py`` additionally fuzzes the on-disk bytes of
+both files directly.
 """
 
 from __future__ import annotations
@@ -49,6 +70,7 @@ from typing import Dict, List, Tuple, Union
 
 from ..core.snapshot import CheckpointError, freeze, thaw
 from ..faults.injector import fire
+from .protocol import DeltaDecoder, DeltaEncoder, decode_events_ex
 from .session import StreamingSession
 
 #: Format tag stored in every spooled session checkpoint.
@@ -56,6 +78,9 @@ SESSION_CHECKPOINT_VERSION = 1
 
 #: Spool file suffix.
 SUFFIX = ".ckpt"
+
+#: Suffix of a session's log (the records appended since its snapshot).
+LOG_SUFFIX = ".log"
 
 #: Suffix a quarantined (corrupt, unrecoverable) entry is renamed to.
 BAD_SUFFIX = ".bad"
@@ -71,6 +96,15 @@ SPOOL_MAGIC = b"RSPOOL2\n"
 
 _HEADER_LEN = struct.Struct("<I")
 _PAYLOAD_META = struct.Struct("<IQ")  # crc32, length
+
+#: Log file magic. The layout is ``magic | u32 id-length | id utf-8 |
+#: u64 snapshot position | u32 snapshot payload-crc32``, then records of
+#: ``u32 record-length | u32 record-crc32 | record``, each record one
+#: positioned delta EVENTS payload.
+LOG_MAGIC = b"RSPLOG1\n"
+
+_LOG_ANCHOR = struct.Struct("<QI")  # snapshot position, payload crc32
+_RECORD_META = struct.Struct("<II")  # length, crc32
 
 #: Session-id characters a spool file name does not keep verbatim;
 #: each is %-escaped (``%`` itself included), so distinct ids never
@@ -118,6 +152,27 @@ class SessionCheckpoint:
         return len(self.payload)
 
 
+class LogAppend:
+    """A checkpoint taken by appending one record to the session's log.
+
+    Attributes:
+        session_id: The session the record belongs to.
+        position: Events covered once the record is replayed.
+        size: Bytes appended (0 when no events arrived since the last
+            checkpoint).
+    """
+
+    __slots__ = ("session_id", "position", "size")
+
+    def __init__(self, session_id: str, position: int, size: int) -> None:
+        self.session_id = session_id
+        self.position = position
+        self.size = size
+
+    def __len__(self) -> int:
+        return self.size
+
+
 def checkpoint_session(session: StreamingSession) -> SessionCheckpoint:
     """Freeze a live session into a :class:`SessionCheckpoint`.
 
@@ -147,41 +202,129 @@ def restore_session(checkpoint: SessionCheckpoint) -> StreamingSession:
     return StreamingSession.from_bytes(checkpoint.payload)
 
 
+class _LogWriter:
+    """The append side of one session's log: the header binding it to
+    its snapshot, the bytes it may grow to, and its encoder."""
+
+    __slots__ = ("header", "limit", "size", "encoder")
+
+    def __init__(self, header: bytes, limit: int) -> None:
+        self.header = header
+        self.limit = limit
+        self.size = 0
+        self.encoder = DeltaEncoder()
+
+
+def _log_header(session_id: str, position: int, payload_crc: int) -> bytes:
+    raw_id = session_id.encode("utf-8")
+    return (
+        LOG_MAGIC
+        + _HEADER_LEN.pack(len(raw_id))
+        + raw_id
+        + _LOG_ANCHOR.pack(position, payload_crc)
+    )
+
+
 class RecoveryManager:
     """A checkpoint spool directory: save, load, enumerate, salvage.
 
-    One file per session, named after the escaped session id. All
-    writes are atomic replaces; a crash mid-save leaves the previous
-    checkpoint intact. All reads verify the header CRC32 before
-    deserializing; anything untrustworthy raises :class:`RecoveryError`
-    and can be quarantined out of the restart path.
+    One snapshot and at most one log per session, named after the
+    escaped session id. Snapshots are atomic replaces and log records
+    are appends, so a crash mid-save leaves the previous checkpoint
+    intact. All reads verify CRC32s before deserializing; anything
+    untrustworthy raises :class:`RecoveryError` and can be quarantined
+    out of the restart path.
+
+    Log writers are kept per session id, and only the shard worker that
+    owns a session saves, loads or drops it, so each writer has one
+    user and nothing here is locked (thread shards share the dict, but
+    never a key).
     """
 
     def __init__(self, spool: Union[str, Path]) -> None:
         self.spool = Path(spool)
         self.spool.mkdir(parents=True, exist_ok=True)
+        self._logs: Dict[str, _LogWriter] = {}
 
     def path_for(self, session_id: str) -> Path:
         return self.spool / (_UNSAFE_ID.sub(_escape_id, session_id) + SUFFIX)
 
-    def save(self, session: StreamingSession) -> SessionCheckpoint:
-        """Checkpoint ``session`` and spool it atomically.
+    def log_path_for(self, session_id: str) -> Path:
+        return self.path_for(session_id).with_suffix(LOG_SUFFIX)
+
+    def save(
+        self, session: StreamingSession
+    ) -> Union[SessionCheckpoint, LogAppend]:
+        """Checkpoint ``session``: append the batches fed since the last
+        save to its log, or write a full snapshot when the log would
+        outgrow the snapshot (or there is no log to extend yet).
 
         Raises:
-            RecoveryError: If the entry cannot be written (``ENOSPC``,
-                permissions, …) — the previous good entry, if any, is
-                untouched.
+            RecoveryError: If the checkpoint cannot be written
+                (``ENOSPC``, permissions, …) — everything already on
+                disk still loads; the next save writes a snapshot.
             CheckpointError: If the session state is not picklable.
         """
-        checkpoint = checkpoint_session(session)
-        blob = freeze(checkpoint, what=f"spool entry {session.session_id}")
-        action = fire("spool.write", key=session.session_id)
+        session_id = session.session_id
+        action = fire("spool.write", key=session_id)
         if action is not None and action.op == "enospc":
             raise RecoveryError(
-                f"cannot spool session {session.session_id!r}: "
+                f"cannot spool session {session_id!r}: "
                 f"[injected] {os.strerror(errno.ENOSPC)}"
             )
-        self.save_payload(session.session_id, blob)
+        batches = session.drain_journal()
+        # Re-registered only once the save succeeds: a failed one leaves
+        # no writer, so the next save snapshots what it lost.
+        log = self._logs.pop(session_id, None)
+        if (
+            log is not None
+            and batches is not None
+            and not session.quarantined
+            and not session.out_of_sync
+        ):
+            if not batches:
+                self._logs[session_id] = log
+                return LogAppend(session_id, session.position, 0)
+            events = [event for _, chunk in batches for event in chunk]
+            record = log.encoder.encode(events, base=batches[0][0])
+            data = _RECORD_META.pack(len(record), zlib.crc32(record)) + record
+            if not log.size:
+                data = log.header + data
+            if log.size + len(data) <= log.limit:
+                self._append(session_id, log, data, action)
+                self._logs[session_id] = log
+                return LogAppend(session_id, session.position, len(data))
+        return self._snapshot(session, action)
+
+    def _append(
+        self, session_id: str, log: _LogWriter, data: bytes, action
+    ) -> None:
+        written = data
+        if action is not None and action.op == "torn":
+            # Only a prefix of the record reaches disk; load() cuts the
+            # log before it.
+            written = data[: len(data) - max(1, len(data) // 2)]
+        path = self.log_path_for(session_id)
+        # Created owner-only, like the snapshot's mkstemp file.
+        flags = os.O_WRONLY | os.O_CREAT
+        flags |= os.O_APPEND if log.size else os.O_TRUNC
+        try:
+            with os.fdopen(os.open(path, flags, 0o600), "wb") as handle:
+                handle.write(written)
+        except OSError as exc:
+            raise RecoveryError(
+                f"cannot append to the log of session {session_id!r}: {exc}"
+            ) from exc
+        if action is not None and action.op == "corrupt":
+            _flip_byte(path, action, start=log.size)
+        log.size += len(data)
+
+    def _snapshot(
+        self, session: StreamingSession, action
+    ) -> SessionCheckpoint:
+        checkpoint = checkpoint_session(session)
+        blob = freeze(checkpoint, what=f"spool entry {session.session_id}")
+        size = self.save_payload(session.session_id, blob)
         target = self.path_for(session.session_id)
         if action is not None and action.op == "torn":
             # A torn write: the header (intended CRC + length) lands,
@@ -189,10 +332,15 @@ class RecoveryManager:
             # a non-atomic writer / lying disk. load_payload()'s length
             # check makes the damage detectable instead of
             # deserializable.
-            size = target.stat().st_size
             os.truncate(target, size - len(blob) + max(1, len(blob) // 2))
         if action is not None and action.op == "corrupt":
-            _flip_byte(target, action)
+            _flip_byte(
+                target, action, start=len(SPOOL_MAGIC) + _HEADER_LEN.size
+            )
+        header = _log_header(
+            session.session_id, checkpoint.position, zlib.crc32(blob)
+        )
+        self._logs[session.session_id] = _LogWriter(header, size)
         return checkpoint
 
     @staticmethod
@@ -221,13 +369,20 @@ class RecoveryManager:
         except UnicodeDecodeError as exc:
             raise RecoveryError(f"corrupt spool header: {exc}") from exc
 
-    def load_checkpoint(self, session_id: str) -> SessionCheckpoint:
-        """The spooled checkpoint for ``session_id``.
+    def load(self, session_id: str) -> StreamingSession:
+        """Restore the live session spooled under ``session_id``: thaw
+        its snapshot, then replay its log's good records.
+
+        A log that extends a different snapshot is deleted unread; a
+        torn or corrupt tail is cut off at the last good record.
 
         Raises:
-            RecoveryError: If missing, truncated, or failing its CRC.
-            CheckpointError: If the verified payload will not thaw.
+            RecoveryError: If the snapshot is missing, truncated, or
+                failing its CRC, or a CRC-valid log record will not
+                replay.
+            CheckpointError: If the verified snapshot will not thaw.
         """
+        self._logs.pop(session_id, None)
         blob = self.load_payload(session_id)
         checkpoint = thaw(blob, what=f"spool entry {session_id}")
         if not isinstance(checkpoint, SessionCheckpoint):
@@ -235,24 +390,67 @@ class RecoveryManager:
                 f"{self.path_for(session_id)} does not contain a "
                 "SessionCheckpoint"
             )
-        return checkpoint
+        session = restore_session(checkpoint)
+        header = _log_header(session_id, checkpoint.position, zlib.crc32(blob))
+        self._replay(session, header)
+        return session
 
-    def load(self, session_id: str) -> StreamingSession:
-        """Restore the live session spooled under ``session_id``."""
-        return restore_session(self.load_checkpoint(session_id))
+    def _replay(self, session: StreamingSession, header: bytes) -> None:
+        path = self.log_path_for(session.session_id)
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
+            return
+        except OSError as exc:
+            raise RecoveryError(f"cannot read {path.name}: {exc}") from exc
+        if not data.startswith(header):
+            # Left by an older snapshot (a crash between a snapshot's
+            # rename and the log reset), or a damaged header: it extends
+            # nothing this snapshot holds.
+            _unlink(path)
+            return
+        decoder = DeltaDecoder()
+        offset = len(header)
+        while len(data) - offset >= _RECORD_META.size:
+            length, crc = _RECORD_META.unpack_from(data, offset)
+            start = offset + _RECORD_META.size
+            record = data[start : start + length]
+            if len(record) < length or zlib.crc32(record) != crc:
+                break
+            try:
+                events, base = decode_events_ex(record, decoder)
+                session.feed(events, base=base)
+            except Exception as exc:
+                raise RecoveryError(
+                    f"{path.name}: record at byte {offset} does not "
+                    f"replay: {type(exc).__name__}: {exc}"
+                ) from exc
+            if session.out_of_sync:
+                raise RecoveryError(
+                    f"{path.name}: record at byte {offset} starts at "
+                    f"{base}, past position {session.position}"
+                )
+            offset = start + length
+        if offset < len(data):
+            try:
+                os.truncate(path, offset)  # cut the torn or corrupt tail
+            except OSError:
+                pass  # the session's next save resets the log anyway
 
     # -- raw payload transfer (cluster handoff) -----------------------------
 
-    def save_payload(self, session_id: str, blob: bytes) -> None:
-        """Spool an already-frozen checkpoint blob under ``session_id``.
+    def save_payload(self, session_id: str, blob: bytes) -> int:
+        """Spool an already-frozen checkpoint blob under ``session_id``
+        as its snapshot; returns the bytes written.
 
-        The one spool writer: :meth:`save` writes through it, and the
+        The one snapshot writer: :meth:`save` writes through it, and the
         cluster handoff path ships the *exact* frozen
-        :class:`SessionCheckpoint` bytes a spool entry stores (see
+        :class:`SessionCheckpoint` bytes a snapshot stores (see
         :meth:`load_payload`), so an entry written back here is
         indistinguishable from a local :meth:`save` — same atomic
         replace, same header CRC — and the receiving node's ordinary
-        recovery path can adopt it.
+        recovery path can adopt it. Any log of an older snapshot is
+        deleted after the replace.
 
         Raises:
             RecoveryError: If the entry cannot be written.
@@ -260,6 +458,7 @@ class RecoveryManager:
         crc, length = zlib.crc32(blob), len(blob)
         raw_id = session_id.encode("utf-8")
         target = self.path_for(session_id)
+        self._logs.pop(session_id, None)
         fd, tmp = tempfile.mkstemp(
             dir=str(self.spool), prefix=target.name, suffix=".tmp"
         )
@@ -270,25 +469,22 @@ class RecoveryManager:
                 handle.write(raw_id)
                 handle.write(_PAYLOAD_META.pack(crc, length))
                 handle.write(blob)
+                size = handle.tell()
             os.replace(tmp, target)
         except OSError as exc:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            _unlink(Path(tmp))
             raise RecoveryError(
                 f"cannot spool session {session_id!r}: {exc}"
             ) from exc
         except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            _unlink(Path(tmp))
             raise
+        _unlink(self.log_path_for(session_id))
+        return size
 
     def load_payload(self, session_id: str) -> bytes:
-        """The verified frozen-checkpoint bytes spooled for
-        ``session_id`` — the blob a cluster ``HANDOFF`` frame carries.
+        """The verified frozen-checkpoint bytes of ``session_id``'s
+        snapshot — the blob a cluster ``HANDOFF`` frame carries.
 
         Raises:
             RecoveryError: If missing, truncated, failing its CRC, or
@@ -323,9 +519,10 @@ class RecoveryManager:
         """``(session_ids, salvage)`` — a header-only spool sweep.
 
         ``salvage`` lists entries whose *header* is already untrusted
-        (payload damage only surfaces at :meth:`load` time). No payload
-        is unpickled; duplicates (two files claiming one session id)
-        keep the first and salvage the rest.
+        (payload and log damage only surface at :meth:`load` time). No
+        payload is unpickled; duplicates (two files claiming one session
+        id) keep the first and salvage the rest. Only snapshots are
+        listed: a log is part of its snapshot's entry.
         """
         ids: List[str] = []
         salvage: List[Tuple[Path, str]] = []
@@ -369,36 +566,54 @@ class RecoveryManager:
     def quarantine(self, session_id: str) -> Path:
         """Move a corrupt entry aside as ``*.bad`` so restarts stop
         tripping over it; returns the quarantine path."""
+        self._logs.pop(session_id, None)
         return self.quarantine_path(self.path_for(session_id))
 
     def quarantine_path(self, path: Path) -> Path:
-        target = path.with_suffix(BAD_SUFFIX)
-        serial = 2
-        while target.exists():
-            target = path.with_suffix(f"{BAD_SUFFIX}{serial}")
-            serial += 1
-        try:
-            os.replace(path, target)
-        except OSError:
-            pass  # already gone — quarantine is best-effort
-        return target
+        """Move a snapshot file, and its log if any, aside as ``*.bad``;
+        returns the snapshot's quarantine path."""
+        log = path.with_suffix(LOG_SUFFIX)
+        if log.exists():
+            _move_aside(log, log.with_name(log.name + BAD_SUFFIX))
+        return _move_aside(path, path.with_suffix(BAD_SUFFIX))
 
     def delete(self, session_id: str) -> None:
-        """Drop the spool entry (a closed session needs no recovery)."""
-        try:
-            self.path_for(session_id).unlink()
-        except OSError:
-            pass
+        """Drop the spool entry (a closed session needs no recovery).
+        The log goes first, so a crash in between never leaves a log
+        without its snapshot."""
+        self._logs.pop(session_id, None)
+        _unlink(self.log_path_for(session_id))
+        _unlink(self.path_for(session_id))
 
 
-def _flip_byte(path: Path, action) -> None:
-    """Flip one payload byte of a finished spool file (the ``corrupt``
-    fault op) — deterministic via the action's seeded RNG."""
+def _move_aside(path: Path, target: Path) -> Path:
+    serial = 2
+    free = target
+    while free.exists():
+        free = target.with_name(f"{target.name}{serial}")
+        serial += 1
+    try:
+        os.replace(path, free)
+    except OSError:
+        pass  # already gone — quarantine is best-effort
+    return free
+
+
+def _unlink(path: Path) -> None:
+    try:
+        path.unlink()
+    except OSError:
+        pass
+
+
+def _flip_byte(path: Path, action, start: int) -> None:
+    """Flip one bit at or after byte ``start`` of a finished spool file
+    (the ``corrupt`` fault op) — deterministic via the action's seeded
+    RNG."""
     try:
         data = bytearray(path.read_bytes())
     except OSError:
         return
-    start = len(SPOOL_MAGIC) + _HEADER_LEN.size
     if len(data) <= start + 1:
         return
     pos = action.rng.randrange(start, len(data))

@@ -13,7 +13,10 @@ lifecycle) with what a long-running service additionally needs:
 * **a checkpoint handle** — :meth:`to_bytes`/:meth:`from_bytes` freeze
   and thaw the complete analysis state (riding
   :func:`repro.core.snapshot.freeze`), which is what
-  :class:`~repro.service.recovery.RecoveryManager` spools to disk.
+  :class:`~repro.service.recovery.RecoveryManager` snapshots to disk;
+* **a journal** — once the spool starts it (:meth:`drain_journal`),
+  every batch fed is recorded as ``(base, events)`` until the next
+  checkpoint drains it into the session's append-only spool log.
 
 Because ``run()`` ≡ feed-in-chunks-then-``finish()`` (property-tested
 in ``tests/test_api_feed.py``), a session fed over the wire — in any
@@ -32,6 +35,10 @@ from ..api.session import Session
 from ..core.snapshot import freeze, thaw, CheckpointError
 from ..obs import tracing
 from ..trace.events import Event
+
+
+#: Events a journal holds at most before it is dropped (see ``feed``).
+JOURNAL_LIMIT = 1 << 16
 
 
 class StreamingSession:
@@ -91,6 +98,16 @@ class StreamingSession:
         self._segments: List[Tuple[int, int, int]] = []
         self._cursor = 0
 
+    #: Batches fed since the last checkpoint, as ``(base, events)``; None
+    #: until a spool starts the journal. Never pickled: a checkpoint
+    #: covers everything the journal held.
+    _journal: Optional[List[Tuple[int, Sequence[Event]]]] = None
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = self.__dict__.copy()
+        state.pop("_journal", None)
+        return state
+
     # -- streaming ---------------------------------------------------------
 
     @property
@@ -149,6 +166,15 @@ class StreamingSession:
         ):
             self.session.feed(events, packed=self.packed or None)
         self.events_fed = position + len(events)
+        journal = self._journal
+        if journal is not None:
+            if journal and position - journal[0][0] >= JOURNAL_LIMIT:
+                # No checkpoint for this long (a spool without periodic
+                # checkpoints): stop holding events; the next checkpoint
+                # is a full snapshot instead of a log append.
+                self._journal = None
+            else:
+                journal.append((position, events))
         return self._observe()
 
     def finish(self) -> SessionResult:
@@ -202,6 +228,13 @@ class StreamingSession:
         return fresh
 
     # -- checkpointing -----------------------------------------------------
+
+    def drain_journal(self) -> Optional[List[Tuple[int, Sequence[Event]]]]:
+        """The batches fed since the previous call, oldest first, and a
+        fresh journal; None when the journal was not running (the first
+        call, or it was dropped in ``feed``)."""
+        batches, self._journal = self._journal, []
+        return batches
 
     def to_bytes(self) -> bytes:
         """Freeze the complete session state (analyses included).

@@ -34,7 +34,7 @@ from repro.faults import (
     uninstall,
 )
 from repro.service import protocol
-from repro.service.recovery import RecoveryError, RecoveryManager
+from repro.service.recovery import LogAppend, RecoveryError, RecoveryManager
 from repro.service.session import StreamingSession
 from repro.sim import trace_zoo
 
@@ -262,6 +262,44 @@ def _session(sid="s1", n=6):
 
 
 class TestSpoolFaults:
+    @staticmethod
+    def _logged(tmp_path):
+        """A spool with a snapshot at 2 and one good log record to 4."""
+        events = list(trace_zoo.get("paper-rho1").trace())
+        manager = RecoveryManager(tmp_path)
+        session = StreamingSession("s1", ["aerodrome"])
+        session.feed(events[:2])
+        manager.save(session)
+        session.feed(events[2:4], base=2)
+        assert isinstance(manager.save(session), LogAppend)
+        return manager, session, events
+
+    @pytest.mark.parametrize("op", ["torn", "corrupt"])
+    def test_damaged_log_append_loses_only_the_tail(self, tmp_path, op):
+        """The site fires on log appends too: the damaged record, and
+        every record appended behind it, is cut at load; the session
+        comes back at the last good record."""
+        manager, session, events = self._logged(tmp_path)
+        session.feed(events[4:6], base=4)
+        plan = FaultPlan(seed=3).add("spool.write", op=op)
+        with injected(plan):
+            assert isinstance(manager.save(session), LogAppend)
+        assert len(plan.log) == 1
+        session.feed(events[6:], base=6)
+        assert isinstance(manager.save(session), LogAppend)
+        assert manager.load("s1").position == 4
+
+    def test_enospc_on_append_keeps_the_journal(self, tmp_path):
+        manager, session, events = self._logged(tmp_path)
+        session.feed(events[4:], base=4)
+        plan = FaultPlan(seed=1).add("spool.write", op="enospc")
+        with injected(plan):
+            with pytest.raises(RecoveryError, match="No space left"):
+                manager.save(session)
+        assert RecoveryManager(tmp_path).load("s1").position == 4
+        assert isinstance(manager.save(session), LogAppend)
+        assert RecoveryManager(tmp_path).load("s1").position == len(events)
+
     def test_enospc_is_typed_and_leaves_previous_entry(self, tmp_path):
         manager = RecoveryManager(tmp_path)
         session = _session()
