@@ -10,6 +10,12 @@ An analysis is anything that can ride the session's single event sweep:
 * ``bind_packed(packed)`` — optionally return a
   ``step(op, thread, target, idx)`` callable over packed integer
   records; returning ``None`` keeps the event-object path;
+* ``bind_sweep(packed)`` — the batch form the session drives: a
+  ``sweep(threads, ops, targets, lo, hi, base)`` over column positions
+  ``[lo, hi)`` (stream index ``base + k``) that returns the position it
+  stopped at (``hi`` unless the analysis finished). The default loops
+  the ``bind_packed`` step; checkers, races and lockset sweep their
+  per-op handlers in one inlined loop;
 * ``finish()`` — wrap up into a :class:`~repro.api.report.Report`;
 * ``finished`` — set ``True`` to tell the session this analysis needs
   no more events (the sweep stops early once every analysis is done).
@@ -30,6 +36,7 @@ from typing import Any, Callable, List, Optional, Set, Tuple
 from ..trace.events import Event, Op
 from ..trace.packed import PackedTrace
 from ..trace.trace import Trace
+from ..core.checker import packed_sweep
 from ..core.violations import CheckResult, Violation
 from .report import Report, finding_dict
 
@@ -89,6 +96,22 @@ class Analysis:
     ) -> Optional[Callable[[int, int, int, int], None]]:
         """A packed-record step, or ``None`` to receive events instead."""
         return None
+
+    def bind_sweep(self, packed: PackedTrace) -> Optional[Callable[..., int]]:
+        """A batch sweep over ``packed``'s columns, or ``None`` to
+        receive events instead (the default loops :meth:`bind_packed`)."""
+        step = self.bind_packed(packed)
+        if step is None:
+            return None
+
+        def sweep(threads, ops, targets, lo: int, hi: int, base: int) -> int:
+            for k in range(lo, hi):
+                step(ops[k], threads[k], targets[k], base + k)
+                if self.finished:
+                    return k + 1
+            return hi
+
+        return sweep
 
     def finish(self) -> Report:
         raise NotImplementedError
@@ -189,14 +212,50 @@ class CheckerAnalysis(Analysis):
 
     # -- packed path -------------------------------------------------------
 
-    def bind_packed(self, packed: PackedTrace):
-        inner = self.checker.packed_step(packed)
+    def _bind_checker(self, packed: PackedTrace):
         if not self._packed:
             # First bind only: a rebind (checkpoint restore mid-stream)
             # must keep the original baseline, or finish() would add
             # the step count on top of a checker that already counted.
             self._packed = True
             self._counted_before = self.checker.events_processed
+        return self.checker.packed_step(packed)
+
+    def bind_sweep(self, packed: PackedTrace):
+        """The checker's batch sweep in stop-first mode and in
+        report-all mode without dedupe; sampling and dedupe step event
+        by event (:meth:`bind_packed`)."""
+        if self.mode == "sample" or self.dedupe:
+            return super().bind_sweep(packed)
+        batch = packed_sweep(self._bind_checker(packed))
+        if self.mode == "report_all":
+
+            def sweep(threads, ops, targets, lo: int, hi: int, base: int) -> int:
+                while lo < hi:
+                    stop, violation = batch(threads, ops, targets, lo, hi, base)
+                    self._steps += stop - lo
+                    lo = stop
+                    if violation is not None:
+                        self.checker.violation = None  # report-and-continue
+                        self._record(violation)
+                        if self.finished:
+                            break
+                return lo
+
+            return sweep
+
+        def sweep(threads, ops, targets, lo: int, hi: int, base: int) -> int:
+            stop, violation = batch(threads, ops, targets, lo, hi, base)
+            self._steps += stop - lo
+            if violation is not None:
+                self._found = violation
+                self.finished = True
+            return stop
+
+        return sweep
+
+    def bind_packed(self, packed: PackedTrace):
+        inner = self._bind_checker(packed)
         if self.mode == "report_all":
             thread_names = packed.thread_names
             dedupe = self.dedupe
@@ -310,8 +369,8 @@ class RacesAnalysis(Analysis):
         self.detector = FastTrackDetector()
         self.step = self.detector.process  # bound hot path
 
-    def bind_packed(self, packed: PackedTrace):
-        return self.detector.packed_step(packed)
+    def bind_sweep(self, packed: PackedTrace):
+        return _sweep_all(self.detector.packed_step(packed))
 
     def finish(self) -> Report:
         races = self.detector.races
@@ -349,8 +408,8 @@ class LocksetAnalysis(Analysis):
         self.analyzer = LocksetAnalyzer()
         self.step = self.analyzer.process
 
-    def bind_packed(self, packed: PackedTrace):
-        return self.analyzer.packed_step(packed)
+    def bind_sweep(self, packed: PackedTrace):
+        return _sweep_all(self.analyzer.packed_step(packed))
 
     def finish(self) -> Report:
         report = self.analyzer.report()
@@ -373,6 +432,19 @@ class LocksetAnalysis(Analysis):
             summary=summary,
             native=report,
         )
+
+
+def _sweep_all(step):
+    """A sweep that never stops early over a detector's packed step
+    (handler results are findings the detector already keeps)."""
+    batch = packed_sweep(step)
+
+    def sweep(threads, ops, targets, lo: int, hi: int, base: int) -> int:
+        while lo < hi:
+            lo, _ = batch(threads, ops, targets, lo, hi, base)
+        return hi
+
+    return sweep
 
 
 class BufferedAnalysis(Analysis):

@@ -7,11 +7,12 @@ any number of analyses (instances, or registry names resolved through
 :mod:`repro.api.registry`), then drives them all over a **single**
 event sweep:
 
-* on the packed path, checker, race and lockset analyses step through
-  their per-op dispatch tables over the shared integer arrays (the
-  trace's interners are compiled once and shared by construction),
-  while event-based analyses receive each reconstructed event exactly
-  once, shared among all of them;
+* on the packed path, each checker, race and lockset analysis sweeps
+  its per-op handlers over the integer columns in one loop per batch
+  (analyses share no state, so sweeping them one after another is the
+  same as interleaving them event by event), while event-based analyses
+  receive each reconstructed event exactly once, shared among all of
+  them;
 * on the string path, every analysis steps on the same event object;
 * an analysis that declares itself ``finished`` (a stop-first checker
   after its violation, a limited report-all run) drops out of the
@@ -28,8 +29,12 @@ collect the reports. ``run()`` is exactly feed-everything-then-finish,
 so the two lifecycles produce identical reports — the agreement the
 streaming service (:mod:`repro.service`) is built on and
 ``tests/test_api_feed.py`` property-tests for every registered
-analysis. A mid-stream session is picklable (its state is the analyses'
-state plus counters), which is what service checkpoints ride.
+analysis. A packed incremental session owns its store
+(:class:`~repro.trace.packed.PackedStore`): batches' names are copied
+into its tables, never the other way round, and it keeps no columns
+past the batch being swept. A mid-stream session is picklable (its
+state is the analyses' state, the store's name tables and counters),
+which is what service checkpoints ride.
 """
 
 from __future__ import annotations
@@ -37,10 +42,13 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
+from ..core.snapshot import CheckpointError
 from ..faults.injector import fire
 from ..faults.plan import FaultInjected
 from ..trace.events import Event, Op
-from ..trace.packed import PackedTrace
+from ..trace.packed import (
+    _NAMESPACE_OF_OP, NO_TARGET, DeltaBatch, PackedStore, PackedTrace,
+)
 from .analysis import Analysis, CheckerAnalysis, TraceMeta
 from .report import Report, SessionResult
 
@@ -90,7 +98,7 @@ class Session:
         self._packed_live: List[tuple] = []
         self._event_live: List[tuple] = []
         self._store: Optional[PackedTrace] = None
-        self._offset = 0  # next unswept index into the packed store
+        self._offset = 0  # stream position of the next packed batch
 
     # -- one-shot driving --------------------------------------------------
 
@@ -150,7 +158,7 @@ class Session:
             self._swept = solo.checker.events_processed
         elif packed:
             self._bind_packed(trace)
-            self._pump_packed(len(trace))
+            self._sweep(trace.arrays(), 0)
         else:
             self._string_live = [
                 (a, a.step) for a in self.analyses if not a.finished
@@ -200,7 +208,7 @@ class Session:
 
     # -- incremental driving -----------------------------------------------
 
-    def feed(self, events: Union[Iterable[Event], PackedTrace],
+    def feed(self, events: Union[Iterable[Event], PackedTrace, DeltaBatch],
              packed: Optional[bool] = None) -> int:
         """Push one batch of events through every live analysis.
 
@@ -213,17 +221,17 @@ class Session:
         * **string mode** (an event iterable, and ``packed`` falsy) —
           each batch's events are stepped directly. Events should carry
           their global stream position in ``idx`` (a
-          :class:`~repro.trace.trace.Trace` stamps it; the streaming
-          service stamps parsed wire events) so violation indices match
-          the offline run.
-        * **packed mode** (a :class:`~repro.trace.packed.PackedTrace`
-          batch, or ``packed=True``) — the session keeps a growing
-          packed store; the first ``PackedTrace`` batch is adopted as
-          that store (and grows in place), later batches are appended
-          (zero re-hash when they share the store's interner tables,
-          e.g. slices of one source trace). Event iterables are
-          interned into the store directly. Analyses bind their packed
-          dispatch once; interner growth mid-stream is supported.
+          :class:`~repro.trace.trace.Trace` stamps it) so violation
+          indices match the offline run.
+        * **packed mode** (a :class:`~repro.trace.packed.PackedTrace` or
+          :class:`~repro.trace.packed.DeltaBatch` batch, or
+          ``packed=True``) — the session keeps its own
+          :class:`~repro.trace.packed.PackedStore`: each batch's names
+          are absorbed into the store's tables and its columns swept
+          there; the batch itself is never modified. Slices of one
+          packed trace, and the batches of one delta stream, map onto
+          the store in O(new names) per batch. Event iterables are
+          interned into the store directly.
 
         Returns:
             The number of events actually swept by this call — less
@@ -236,43 +244,49 @@ class Session:
             raise FaultInjected(
                 f"[injected] analysis step raised in session {self.name!r}"
             )
-        is_packed_chunk = isinstance(events, PackedTrace)
+        is_batch = isinstance(events, (PackedTrace, DeltaBatch))
         if not self._started:
-            mode_packed = is_packed_chunk or bool(packed)
-            self._begin(
-                TraceMeta(
-                    name=self.name, events=None,
-                    packed=mode_packed, source=None,
-                ),
-                packed=mode_packed,
-            )
-            if mode_packed:
-                # The first PackedTrace batch is adopted as the store;
-                # event batches fall through to the shared append path.
-                store = events if is_packed_chunk else PackedTrace(self.name)
-                self._bind_packed(store)
-            else:
+            if not (is_batch or packed):
+                self._begin(
+                    TraceMeta(name=self.name, events=None,
+                              packed=False, source=None),
+                    packed=False,
+                )
                 self._string_live = [
                     (a, a.step) for a in self.analyses if not a.finished
                 ]
                 return self._feed_string(events)
-        before = self._swept
-        if self._mode == "packed":
-            store = self._store
-            if is_packed_chunk:
-                if events is not store:
-                    store.extend_from(events)
-            else:
-                self._append_events(events)
-            self._pump_packed(len(store))
-        else:
-            if is_packed_chunk:
+            self.packed_store()
+        if self._mode != "packed":
+            if is_batch:
                 raise ValueError(
                     "session is sweeping in string mode; feed event "
                     "iterables (or start with a PackedTrace batch)"
                 )
             return self._feed_string(events)
+        store = self._store
+        if not is_batch:
+            events = store.delta_of(events)
+        columns = store.absorb(events)
+        base = self._offset
+        store.set_window(columns, base)
+        before = self._swept
+        self._sweep(columns, base)
         return self._swept - before
+
+    def packed_store(self) -> PackedStore:
+        """The session's own packed store, starting a packed incremental
+        sweep if the session has not started yet."""
+        if not self._started:
+            self._begin(
+                TraceMeta(name=self.name, events=None, packed=True,
+                          source=None),
+                packed=True,
+            )
+            self._bind_packed(PackedStore(self.name))
+        if not isinstance(self._store, PackedStore):
+            raise ValueError("session is not sweeping a packed store")
+        return self._store
 
     def _feed_string(self, events: Iterable[Event]) -> int:
         before = self._swept
@@ -343,18 +357,13 @@ class Session:
         for analysis in self.analyses:
             if analysis.finished:  # done at begin(): nothing to feed
                 continue
-            bound = analysis.bind_packed(store)
+            bound = analysis.bind_sweep(store)
             if bound is None:
                 event_live.append((analysis, analysis.step))
             else:
                 packed_live.append((analysis, bound))
         self._packed_live = packed_live
         self._event_live = event_live
-
-    def _append_events(self, events: Iterable[Event]) -> None:
-        append = self._store.append
-        for event in events:
-            append(event)
 
     def _pump_string(self, events: Iterable[Event]) -> None:
         # Analyses may finish at begin() (offline passes holding the
@@ -376,46 +385,54 @@ class Session:
         self._string_live = live
         self._swept = swept
 
-    def _pump_packed(self, stop: int) -> None:
-        """Sweep the packed store's indices ``[self._offset, stop)``."""
+    def _sweep(self, columns: tuple, base: int) -> None:
+        """Sweep one batch of columns at stream positions ``base`` on:
+        each packed analysis in one call, then the event-based ones over
+        shared reconstructed events. The sweep reaches as far as the
+        analysis that went furthest."""
+        threads, ops, targets = columns
+        n = len(ops)
+        self._offset = base + n
+        reached = 0
         packed_live = self._packed_live
-        event_live = self._event_live
-        if not packed_live and not event_live:
-            self._offset = stop
-            return
-        store = self._store
-        threads, ops, targets = store.arrays()
-        thread_name = store.threads.name_of
-        target_name = store.target_name
-        i = self._offset
-        swept = self._swept
-        while i < stop:
-            swept += 1
-            op = ops[i]
-            t = threads[i]
-            target = targets[i]
+        if packed_live:
+            for _analysis, sweep in packed_live:
+                stop = sweep(threads, ops, targets, 0, n, base)
+                if stop > reached:
+                    reached = stop
+            self._packed_live = [
+                (a, s) for a, s in packed_live if not a.finished
+            ]
+        if self._event_live:
+            reached = max(reached, self._step_events(columns, base))
+        if reached:
+            self._swept = base + reached
+
+    def _step_events(self, columns: tuple, base: int) -> int:
+        """Step the event-based analyses over one shared event per
+        index; returns how far they got."""
+        threads, ops, targets = columns
+        tables = self._store.name_tables()
+        thread_names = tables[2]
+        live = self._event_live
+        k = 0
+        for k, (t, op, target) in enumerate(zip(threads, ops, targets), 1):
+            event = Event(
+                thread_names[t], Op(op),
+                None if target == NO_TARGET
+                else tables[_NAMESPACE_OF_OP[op]][target],
+                idx=base + k - 1,
+            )
             finished = False
-            for analysis, step in packed_live:
-                step(op, t, target, i)
+            for analysis, step in live:
+                step(event)
                 finished = finished or analysis.finished
-            if event_live:
-                # one shared reconstruction per index, global idx
-                event = Event(thread_name(t), Op(op), target_name(i), idx=i)
-                for analysis, step in event_live:
-                    step(event)
-                    finished = finished or analysis.finished
-            i += 1
             if finished:
-                packed_live = [
-                    (a, s) for a, s in packed_live if not a.finished
-                ]
-                event_live = [(a, s) for a, s in event_live if not a.finished]
-                if not packed_live and not event_live:
+                live = [(a, s) for a, s in live if not a.finished]
+                if not live:
                     break
-        self._packed_live = packed_live
-        self._event_live = event_live
-        self._offset = i
-        self._swept = swept
+        self._event_live = live
+        return k
 
     # -- checkpointing -----------------------------------------------------
 
@@ -436,6 +453,12 @@ class Session:
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
         if self._started and self._result is None:
+            if self._mode == "packed" and not isinstance(
+                self._store, PackedStore
+            ):
+                raise CheckpointError(
+                    "session state predates the session-owned packed store"
+                )
             self._t0 = time.perf_counter()
             self._rebind()
 

@@ -255,7 +255,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                 names,
                 name=getattr(trace, "name", None) or "trace",
                 batch=args.batch,
-                packed=args.packed,
                 session_id=args.session_id,
                 resume=args.resume,
                 stop_after=args.stop_after,
@@ -270,7 +269,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                 names,
                 name=getattr(trace, "name", None) or "trace",
                 batch=args.batch,
-                packed=args.packed,
                 session_id=args.session_id,
                 resume=args.resume,
                 lenient=args.lenient,
@@ -363,7 +361,6 @@ def _cmd_experiment_run(args: argparse.Namespace) -> int:
             seed=args.seed,
             scale=args.scale,
             analyses=analyses,
-            packed=args.packed,
             out=args.out,
             run_id=args.run_id,
             wall_clock=args.wall_clock,
@@ -1078,10 +1075,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch", type=int, default=512, help="events per EVENTS frame"
     )
     submit.add_argument(
-        "--packed", action="store_true",
-        help="analyze on the server's packed dispatch path",
-    )
-    submit.add_argument(
         "--session-id", default=None,
         help="pin the session id (required to resume after a crash)",
     )
@@ -1151,10 +1144,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp_run.add_argument(
         "--analyses", default="aerodrome",
         help="comma-separated analysis names (default: aerodrome)",
-    )
-    exp_run.add_argument(
-        "--packed", action="store_true",
-        help="drive the packed dispatch sweep",
     )
     exp_run.add_argument(
         "--out", default="runs", metavar="DIR",

@@ -161,7 +161,6 @@ class ClusterClient:
         analyses: Sequence[Union[str, Dict[str, Any]]],
         name: str = "stream",
         batch: int = DEFAULT_BATCH,
-        packed: bool = False,
         session_id: Optional[str] = None,
         resume: bool = False,
         stop_after: Optional[int] = None,
@@ -201,7 +200,7 @@ class ClusterClient:
             try:
                 return _submit_to_node(
                     host, port, all_events, analyses,
-                    name=name, batch=batch, packed=packed,
+                    name=name, batch=batch,
                     session_id=session_id,
                     resume=resume_flag, lenient=True,
                     stop_after=stop_after, checkpoint=checkpoint,

@@ -78,21 +78,14 @@ class StreamingChecker(ABC):
         ``start`` until exhaustion or the first violation."""
         if self.violation is not None:
             raise RuntimeError("checker already found a violation; reset() first")
-        step = self.packed_step(packed)
+        sweep = packed_sweep(self.packed_step(packed))
         threads, ops, targets = packed.arrays()
-        n = len(ops)
         counted_before = self.events_processed
-        i = start
-        violation: Optional[Violation] = None
-        while i < n:
-            violation = step(ops[i], threads[i], targets[i], i)
-            i += 1
-            if violation is not None:
-                break
+        stop, violation = sweep(threads, ops, targets, start, len(ops), 0)
         if self.events_processed == counted_before:
             # Fast steps leave the counter to us; the generic fallback
             # (via process) already counted each event.
-            self.events_processed += i - start
+            self.events_processed += stop - start
         if violation is not None:
             self.violation = violation
         return self.result()
@@ -121,32 +114,24 @@ class StreamingChecker(ABC):
         return {"events_processed": self.events_processed}
 
 
-def lazy_binder(names, intern) -> Callable[[int], object]:
-    """A packed-namespace resolver: index -> interned checker state.
+def packed_sweep(step):
+    """The batch form of a packed ``step`` (see :func:`make_packed_step`).
 
-    Resolution is lazy and cached, so a run that stops early (or a
-    report-and-continue stream over a violating prefix) never interns
-    names — or, for the sharded checker, creates thread shards that
-    would skew its access accounting — for events it did not reach.
-
-    ``names`` may grow after binding: an incremental session
-    (:meth:`repro.api.session.Session.feed`) keeps appending to the
-    shared interner tables mid-stream, so the cache is resized on
-    demand rather than fixed at bind time.
+    Steps built by :func:`make_packed_step` carry their own inlined
+    ``sweep``; any other step is looped event by event.
     """
-    cache: list = [None] * len(names)
+    sweep = getattr(step, "sweep", None)
+    if sweep is not None:
+        return sweep
 
-    def of(index: int):
-        try:
-            state = cache[index]
-        except IndexError:
-            cache.extend([None] * (len(names) - len(cache)))
-            state = cache[index]
-        if state is None:
-            state = cache[index] = intern(names[index])
-        return state
+    def sweep(threads, ops, targets, lo: int, hi: int, base: int):
+        for k in range(lo, hi):
+            violation = step(ops[k], threads[k], targets[k], base + k)
+            if violation is not None:
+                return k + 1, violation
+        return hi, None
 
-    return of
+    return sweep
 
 
 def make_packed_step(
@@ -156,7 +141,7 @@ def make_packed_step(
     lock_intern,
     read, write, acquire, release, fork, join, begin, end,
 ):
-    """Build the per-op dispatch table every packed checker shares.
+    """Build the per-op dispatch every packed checker shares.
 
     The eight handlers receive ``(thread_state, target_state, idx)``
     with states resolved through the checker's own interners — whatever
@@ -164,23 +149,91 @@ def make_packed_step(
     objects elsewhere). Checkers pass their bound per-op methods; only
     the deliberately inlined hot loops (e.g. the optimized checker's
     ``run_packed``) bypass this.
+
+    Returns ``step(op, thread, target, idx)``, one event, whose
+    ``step.sweep(threads, ops, targets, lo, hi, base)`` is the batch
+    form: one loop over the columns' positions ``[lo, hi)`` (stream
+    index ``base + k``) with the state caches inlined, returning
+    ``(stop, violation)`` at the first handler result that is not
+    ``None`` (``stop`` is the position after it), else ``(hi, None)``.
+
+    Both forms share the state caches. Names resolve lazily, on first
+    use, so a run that stops early never interns names (or, for the
+    sharded checker, creates thread shards) for events it did not
+    reach. ``packed``'s tables may grow after binding (an incremental
+    session absorbs new names mid-stream); the caches grow with them.
     """
-    thread_of = lazy_binder(packed.thread_names, thread_intern)
-    var_of = lazy_binder(packed.variable_names, var_intern)
-    lock_of = lazy_binder(packed.lock_names, lock_intern)
-    handlers = (
-        lambda t, v, i: read(thread_of(t), var_of(v), i),       # Op.READ
-        lambda t, v, i: write(thread_of(t), var_of(v), i),      # Op.WRITE
-        lambda t, l, i: acquire(thread_of(t), lock_of(l), i),   # Op.ACQUIRE
-        lambda t, l, i: release(thread_of(t), lock_of(l), i),   # Op.RELEASE
-        lambda t, u, i: fork(thread_of(t), thread_of(u), i),    # Op.FORK
-        lambda t, u, i: join(thread_of(t), thread_of(u), i),    # Op.JOIN
-        lambda t, _l, i: begin(thread_of(t), i),                # Op.BEGIN
-        lambda t, _l, i: end(thread_of(t), i),                  # Op.END
-    )
+    thread_names = packed.thread_names
+    var_names = packed.variable_names
+    lock_names = packed.lock_names
+    tmap: list = []
+    vmap: list = []
+    lmap: list = []
+
+    def sweep(threads, ops, targets, lo: int, hi: int, base: int):
+        if len(tmap) < len(thread_names):
+            tmap.extend([None] * (len(thread_names) - len(tmap)))
+        if len(vmap) < len(var_names):
+            vmap.extend([None] * (len(var_names) - len(vmap)))
+        if len(lmap) < len(lock_names):
+            lmap.extend([None] * (len(lock_names) - len(lmap)))
+        if lo or hi != len(ops):
+            threads, ops, targets = threads[lo:hi], ops[lo:hi], targets[lo:hi]
+        for i, op, t, target in zip(range(base + lo, base + hi), ops,
+                                    threads, targets):
+            ts = tmap[t]
+            if ts is None:
+                ts = tmap[t] = thread_intern(thread_names[t])
+            if op == 0:
+                xs = vmap[target]
+                if xs is None:
+                    xs = vmap[target] = var_intern(var_names[target])
+                violation = read(ts, xs, i)
+            elif op == 1:
+                xs = vmap[target]
+                if xs is None:
+                    xs = vmap[target] = var_intern(var_names[target])
+                violation = write(ts, xs, i)
+            elif op == 6:
+                violation = begin(ts, i)
+            elif op == 7:
+                violation = end(ts, i)
+            elif op == 2 or op == 3:
+                ls = lmap[target]
+                if ls is None:
+                    ls = lmap[target] = lock_intern(lock_names[target])
+                violation = (acquire if op == 2 else release)(ts, ls, i)
+            else:
+                us = tmap[target]
+                if us is None:
+                    us = tmap[target] = thread_intern(thread_names[target])
+                violation = (fork if op == 4 else join)(ts, us, i)
+            if violation is not None:
+                return i - base + 1, violation
+        return hi, None
+
+    def state(cache: list, names, intern, k: int):
+        try:
+            found = cache[k]
+        except IndexError:
+            cache.extend([None] * (len(names) - len(cache)))
+            found = cache[k]
+        if found is None:
+            found = cache[k] = intern(names[k])
+        return found
 
     def step(op: int, t: int, target: int, idx: int) -> Optional[Violation]:
-        return handlers[op](t, target, idx)
+        ts = state(tmap, thread_names, thread_intern, t)
+        if op < 2:
+            xs = state(vmap, var_names, var_intern, target)
+            return (read if op == 0 else write)(ts, xs, idx)
+        if op < 4:
+            ls = state(lmap, lock_names, lock_intern, target)
+            return (acquire if op == 2 else release)(ts, ls, idx)
+        if op < 6:
+            us = state(tmap, thread_names, thread_intern, target)
+            return (fork if op == 4 else join)(ts, us, idx)
+        return (begin if op == 6 else end)(ts, idx)
 
+    step.sweep = sweep
     return step
-

@@ -120,7 +120,6 @@ def run_experiment(
     seed: int = 0,
     scale: float = 0.1,
     analyses: Sequence[str] = ("aerodrome",),
-    packed: bool = False,
     out: str = "runs",
     run_id: Optional[str] = None,
     batch: int = DEFAULT_BATCH,
@@ -142,7 +141,6 @@ def run_experiment(
         "seed": int(seed),
         "scale": float(scale),
         "analyses": list(analyses),
-        "packed": bool(packed),
         "batch": int(batch),
         "clock": "wall" if wall_clock else "ticks",
     }
@@ -169,7 +167,6 @@ def run_experiment(
             "experiment",
             [(name, {}) for name in analyses],
             name=workload,
-            packed=packed,
         )
         with tracer.span("experiment.ingest", events=len(events)):
             for lo in range(0, len(events), batch):
@@ -261,8 +258,7 @@ def _report_md(
         "",
         f"- workload: `{experiment.get('workload')}`"
         f" · seed {experiment.get('seed')}"
-        f" · scale {experiment.get('scale')}"
-        f" · packed {experiment.get('packed')}",
+        f" · scale {experiment.get('scale')}",
         f"- analyses: {', '.join(experiment.get('analyses', []))}",
         f"- config hash: `{experiment.get('config_hash')}`",
         f"- verdict: **{manifest.get('verdict')}**",

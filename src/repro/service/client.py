@@ -292,7 +292,6 @@ class ServiceClient:
         self,
         analyses: Sequence[Union[str, Dict[str, Any]]],
         name: str = "stream",
-        packed: bool = False,
         encoding: str = "delta",
         session_id: Optional[str] = None,
         resume: bool = False,
@@ -306,8 +305,7 @@ class ServiceClient:
         to this session; a connection may carry several sessions in
         turn, and each HELLO starts fresh tables on both ends.
         ``encoding`` accepts only ``"delta"`` and is kept for callers
-        that still pass it. ``packed`` selects the *analysis* path
-        server-side, independent of the wire encoding. ``lenient``
+        that still pass it. ``lenient``
         softens a resume: if the server has nothing resumable (cluster
         failover lost the checkpoint) the session opens fresh at
         position 0 instead of erroring, and the caller re-sends from
@@ -322,7 +320,6 @@ class ServiceClient:
             "protocol": protocol.PROTOCOL,
             "analyses": list(analyses),
             "name": name,
-            "packed": packed,
             "session": session_id,
             "resume": resume,
             "lenient": lenient,
@@ -437,7 +434,6 @@ def submit_trace(
     analyses: Sequence[Union[str, Dict[str, Any]]],
     name: str = "stream",
     batch: int = DEFAULT_BATCH,
-    packed: bool = False,
     session_id: Optional[str] = None,
     resume: bool = False,
     stop_after: Optional[int] = None,
@@ -480,7 +476,7 @@ def submit_trace(
         try:
             return _submit_once(
                 host, port, all_events, analyses,
-                name=name, batch=batch, packed=packed,
+                name=name, batch=batch,
                 session_id=session_id, resume=resume, lenient=lenient,
                 stop_after=stop_after, checkpoint=checkpoint,
                 budget=budget, jitter_seed=jitter_seed, epoch=epoch,
@@ -510,7 +506,6 @@ def _submit_once(
     analyses: Sequence[Union[str, Dict[str, Any]]],
     name: str,
     batch: int,
-    packed: bool,
     session_id: Optional[str],
     resume: bool,
     stop_after: Optional[int],
@@ -527,7 +522,6 @@ def _submit_once(
         handle = client.open_session(
             analyses,
             name=name,
-            packed=packed,
             session_id=session_id,
             resume=resume,
             lenient=lenient,

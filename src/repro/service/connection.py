@@ -90,6 +90,8 @@ class WireConnection:
         #: Delta-events name tables of the bound session; every accepted
         #: HELLO replaces them, matching the client's per-session encoder.
         self.delta = protocol.DeltaDecoder()
+        #: Stream position past the last batch handed to the router.
+        self._next_base = 0
         #: Outbound frame encoder (reply accounting).
         self.encoder = protocol.FrameEncoder()
         #: Encoded reply frames awaiting transport write.
@@ -368,7 +370,6 @@ class WireConnection:
             future = router.submit_open(
                 hello["analyses"],
                 name=hello["name"],
-                packed=hello["packed"],
                 session_id=hello["session"],
                 resume=hello["resume"],
                 lenient=hello["lenient"],
@@ -378,6 +379,7 @@ class WireConnection:
                 info = future.result()
                 self.session_id = info["session"]
                 self.delta = protocol.DeltaDecoder()
+                self._next_base = 0
                 info["protocol"] = protocol.PROTOCOL
                 self._send(FrameType.OK, info)
 
@@ -420,13 +422,20 @@ class WireConnection:
             self._redirect(self.session_id)
             return
         if ftype == FrameType.EVENTS:
-            events, base = protocol.decode_events_ex(payload, self.delta)
-            queued = router.feed(self.session_id, events, base=base)
+            batch, base = protocol.decode_events_ex(payload, self.delta)
+            if base < self._next_base:
+                # The client re-sends from an earlier position: a resync
+                # after the session fell behind, say restored from its
+                # spool across a shard restart, and lost the names of the
+                # batches it lost. Send every name, from 0.
+                batch = self.delta.whole(batch)
+            queued = router.feed(self.session_id, batch, base=base)
+            self._next_base = max(self._next_base, base + len(batch))
             action = fire("server.events", key=self.session_id)
             if action is not None and action.op == "duplicate":
                 # At-least-once delivery: the same decoded batch lands
                 # twice, and the session drops the positioned overlap.
-                router.feed(self.session_id, events, base=base)
+                router.feed(self.session_id, batch, base=base)
             self._send(FrameType.OK, {"queued": queued})
         elif ftype == FrameType.FLUSH:
             future = router.submit_flush(self.session_id)

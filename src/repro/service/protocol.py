@@ -26,7 +26,10 @@ in **packed delta** form: the incremental form of
 interner namespaces (threads, variables, locks, labels) for one
 session; each frame ships only the names interned since the previous
 frame, then the batch's dense ``(thread, op, target)`` integer triples.
-Long streams stop paying for strings almost immediately.
+Long streams stop paying for strings almost immediately. The decoder
+builds no events: a frame decodes to a
+:class:`~repro.trace.packed.DeltaBatch` (its new names and three integer
+columns), which the session's own store absorbs.
 
 The base makes at-least-once delivery idempotent — a server that
 already ingested past ``base`` drops the overlap instead of
@@ -57,10 +60,13 @@ import json
 import struct
 import zlib
 from enum import IntEnum
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+from array import array
+from itertools import compress
 
 from ..trace.events import Event, Op
-from ..trace.packed import _NAMESPACE_OF_OP, NO_TARGET, Interner
+from ..trace.packed import _NAMESPACE_OF_OP, NO_TARGET, DeltaBatch, Interner
 
 #: Protocol identifier carried in every HELLO.
 PROTOCOL = "repro-wire/1"
@@ -70,7 +76,16 @@ MAX_FRAME = 16 * 1024 * 1024
 
 _HEADER = struct.Struct(">IB")  # frame length, frame type
 _U32 = struct.Struct("<I")
+_TABLE = struct.Struct("<II")  # name-table base, name count
 _TRIPLE = struct.Struct("<IBi")  # thread index, op, target index
+
+#: Per namespace, a ``bytes.translate`` table marking the op codes
+#: whose target lives there (1) and the rest (0).
+_NS_MASKS = tuple(
+    bytes(int(code < 8 and _NAMESPACE_OF_OP[code] == ns) for code in range(256))
+    for ns in range(4)
+)
+_LABELS = 3
 
 #: Event-batch encoding tag (first payload byte of an EVENTS frame);
 #: the body is prefixed with ``u64`` base + ``u32`` CRC32.
@@ -392,8 +407,9 @@ def parse_hello(obj: Dict[str, Any]) -> Dict[str, Any]:
     """Validate a HELLO payload and normalize its analysis specs.
 
     Returns a dict with keys ``analyses`` (list of ``(name, options)``
-    pairs), ``name``, ``packed``, ``resume``, ``lenient``, ``epoch``,
-    ``session`` and ``meta``.
+    pairs), ``name``, ``resume``, ``lenient``, ``epoch``, ``session``
+    and ``meta``. A ``packed`` flag from older clients is still
+    validated and then ignored: every session sweeps packed.
 
     Raises:
         PayloadError: On a protocol mismatch or a malformed field.
@@ -404,7 +420,7 @@ def parse_hello(obj: Dict[str, Any]) -> Dict[str, Any]:
             f"protocol {protocol!r} unsupported (want {PROTOCOL!r})"
         )
     raw = obj.get("analyses")
-    packed = _flag(obj, "packed")
+    _flag(obj, "packed")
     resume = _flag(obj, "resume")
     lenient = _flag(obj, "lenient")
     if not isinstance(raw, list) or (not raw and not resume):
@@ -437,7 +453,6 @@ def parse_hello(obj: Dict[str, Any]) -> Dict[str, Any]:
     return {
         "analyses": analyses,
         "name": name,
-        "packed": packed,
         "resume": resume,
         # Epoch fence: the membership epoch the client routed by. The
         # connection pins it; every shard-bound frame on the connection
@@ -509,6 +524,30 @@ def decode_handoff(payload: bytes) -> Tuple[Dict[str, Any], bytes]:
 # -- EVENTS payloads --------------------------------------------------------
 
 
+def _positioned(tables, count: int, triples: bytes, base: int) -> bytes:
+    """One positioned EVENTS payload: the name-table deltas, the event
+    count and the packed triples behind the tag, base and body CRC."""
+    out = bytearray()
+    for table_base, names in tables:
+        out += _TABLE.pack(table_base, len(names))
+        for name in names:
+            raw = name.encode("utf-8")
+            out += _U32.pack(len(raw))
+            out += raw
+    out += _U32.pack(count)
+    out += triples
+    header = _POS_HEADER.pack(base, zlib.crc32(out))
+    return bytes([DELTA_EVENTS_POS]) + header + bytes(out)
+
+
+def encode_batch(batch: DeltaBatch, base: int) -> bytes:
+    """The positioned EVENTS payload that decodes back to ``batch``
+    (same table bases, names and columns) at stream position ``base``:
+    a spool log record."""
+    triples = b"".join(map(_TRIPLE.pack, batch.threads, batch.ops, batch.targets))
+    return _positioned(batch.tables, len(batch), triples, base)
+
+
 class DeltaEncoder:
     """Client half of the packed-delta event encoding.
 
@@ -552,121 +591,155 @@ class DeltaEncoder:
                 target_idx = self._by_ns[_NAMESPACE_OF_OP[op]].index_of(target)
             triples += _TRIPLE.pack(t_idx, op, target_idx)
             n += 1
-        out = bytearray()
+        tables = []
         for ns, interner in enumerate(self._by_ns):
             table_base = self._sent[ns]
-            names = interner.names_from(table_base)
+            tables.append((table_base, interner.names_from(table_base)))
             self._sent[ns] = len(interner)
-            out += _U32.pack(table_base)
-            out += _U32.pack(len(names))
-            for name in names:
-                raw = name.encode("utf-8")
-                out += _U32.pack(len(raw))
-                out += raw
-        out += _U32.pack(n)
-        out += triples
-        header = _POS_HEADER.pack(base, zlib.crc32(out))
-        return bytes([DELTA_EVENTS_POS]) + header + bytes(out)
+        return _positioned(tables, n, triples, base)
 
 
 class DeltaDecoder:
     """Server half of the packed-delta event encoding.
 
-    Accumulates one session's name tables frame by frame and
-    reconstructs :class:`~repro.trace.events.Event` objects with global
-    stream indices stamped by the caller. The tables mirror one
+    Accumulates one stream's name tables frame by frame (they validate
+    every frame's indices and retransmitted names) and decodes each
+    body into a :class:`~repro.trace.packed.DeltaBatch`: the frame's own
+    table bases and new names plus three integer columns, with no
+    :class:`~repro.trace.events.Event` built. The tables mirror one
     :class:`DeltaEncoder`, so a connection needs a fresh decoder for
-    every session it opens.
+    every session it opens; ``tables`` (names by index, in namespace
+    order) continues a stream whose earlier frames were decoded
+    elsewhere, as spool log replay does.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, tables: Optional[Sequence[Sequence[str]]] = None) -> None:
         # variable, lock, thread, label — same order as the encoder.
-        self._names: Tuple[List[str], ...] = ([], [], [], [])
+        self._names: Tuple[List[str], ...] = (
+            tuple(list(names) for names in tables) if tables
+            else ([], [], [], [])
+        )
 
-    def decode(self, body: bytes) -> List[Event]:
-        """Decode one delta body into events.
+    def whole(self, batch: DeltaBatch) -> DeltaBatch:
+        """``batch`` carrying every name decoded so far, each table from
+        0: what a receiver that lost track of the stream's names needs."""
+        tables = tuple((0, names[:]) for names in self._names)
+        return DeltaBatch(tables, batch.threads, batch.ops, batch.targets,
+                          self._names)
+
+    def decode(self, body: bytes) -> DeltaBatch:
+        """Decode one delta body into a batch.
 
         Raises:
             PayloadError: On truncation, bad UTF-8, an op code outside
                 the eight known kinds, or an index past the tables.
         """
-        view = memoryview(body)
+        try:
+            return self._decode(body)
+        except struct.error:
+            raise PayloadError("truncated delta body") from None
+
+    def _decode(self, body: bytes) -> DeltaBatch:
         pos = 0
-
-        def take(n: int) -> memoryview:
-            nonlocal pos
-            if len(view) - pos < n:
-                raise PayloadError("truncated delta body")
-            chunk = view[pos : pos + n]
-            pos += n
-            return chunk
-
+        deltas = []
         for names in self._names:
-            (base,) = _U32.unpack(take(4))
-            (count,) = _U32.unpack(take(4))
+            base, count = _TABLE.unpack_from(body, pos)
+            pos += _TABLE.size
             if count > len(body):  # cheap sanity bound before the loop
                 raise PayloadError(f"absurd name count {count}")
             if base > len(names):
                 raise PayloadError(
                     f"name table gap: frame base {base}, have {len(names)}"
                 )
-            for k in range(count):
-                (size,) = _U32.unpack(take(4))
+            new = []
+            for _ in range(count):
+                (size,) = _U32.unpack_from(body, pos)
+                pos += _U32.size
                 if size > len(body):
                     raise PayloadError(f"absurd name length {size}")
+                if pos + size > len(body):
+                    raise PayloadError("truncated delta body")
                 try:
-                    name = bytes(take(size)).decode("utf-8")
+                    new.append(str(body[pos : pos + size], "utf-8"))
                 except UnicodeDecodeError as exc:
                     raise PayloadError(f"bad name encoding: {exc}") from exc
-                if base + k < len(names):
-                    # a retransmitted frame (e.g. resent through BUSY):
-                    # this name is already in the table — don't shift it.
+                pos += size
+            have = len(names) - base
+            if have > 0:
+                # a retransmitted frame (e.g. resent through BUSY): these
+                # names are already in the table — don't shift them.
+                for k, name in enumerate(new[:have]):
                     if names[base + k] != name:
                         raise PayloadError(
                             f"retransmit mismatch at index {base + k}"
                         )
-                else:
-                    names.append(name)
-        (n,) = _U32.unpack(take(4))
-        if n * _TRIPLE.size != len(view) - pos:
+                names.extend(new[have:])
+            else:
+                names.extend(new)
+            deltas.append((base, new))
+        (n,) = _U32.unpack_from(body, pos)
+        pos += _U32.size
+        if n * _TRIPLE.size != len(body) - pos:
             raise PayloadError(
                 f"delta body claims {n} events, "
-                f"{len(view) - pos} bytes of triples remain"
+                f"{len(body) - pos} bytes of triples remain"
             )
-        variables, locks, threads, labels = self._names
-        events: List[Event] = []
-        for _ in range(n):
-            t_idx, op_code, target_idx = _TRIPLE.unpack(take(_TRIPLE.size))
+        if n:
+            threads, ops, targets = zip(*_TRIPLE.iter_unpack(memoryview(body)[pos:]))
+            if (
+                max(ops) > 7
+                or max(threads) >= len(self._names[2])
+                or not self._targets_known(ops, targets)
+            ):
+                self._reject(threads, ops, targets)
+        else:
+            threads = ops = targets = ()
+        return DeltaBatch(tuple(deltas), array("i", threads), array("b", ops),
+                          array("i", targets), self._names)
+
+    def _targets_known(self, ops, targets) -> bool:
+        """Whether every target index is in its op's table (``-1`` only
+        on BEGIN/END), checked column-wise per namespace."""
+        if min(targets) < NO_TARGET:
+            return False
+        codes = bytes(ops)
+        for ns, names in enumerate(self._names):
+            selected = list(compress(targets, codes.translate(_NS_MASKS[ns])))
+            if selected and (
+                max(selected) >= len(names)
+                or (ns != _LABELS and min(selected) < 0)
+            ):
+                return False
+        return True
+
+    def _reject(self, threads, ops, targets) -> None:
+        """Name the first bad event of a batch the column checks refused."""
+        thread_table = self._names[2]
+        for t_idx, op_code, target_idx in zip(threads, ops, targets):
             if op_code > 7:
                 raise PayloadError(f"unknown op code {op_code}")
             op = Op(op_code)
-            try:
-                thread = threads[t_idx]
-            except IndexError:
-                raise PayloadError(f"thread index {t_idx} unknown") from None
+            if t_idx >= len(thread_table):
+                raise PayloadError(f"thread index {t_idx} unknown")
             if target_idx == NO_TARGET:
                 if op not in (Op.BEGIN, Op.END):
                     raise PayloadError(f"{op.name} event without a target")
-                target = None
-            else:
-                table = self._names[_NAMESPACE_OF_OP[op]]
-                if not 0 <= target_idx < len(table):
-                    raise PayloadError(
-                        f"target index {target_idx} unknown for {op.name}"
-                    )
-                target = table[target_idx]
-            events.append(Event(thread, op, target))
-        return events
+                continue
+            table = self._names[_NAMESPACE_OF_OP[op]]
+            if not 0 <= target_idx < len(table):
+                raise PayloadError(
+                    f"target index {target_idx} unknown for {op.name}"
+                )
+        raise AssertionError("column checks refused a valid batch")
 
 
 def decode_events_ex(
     payload: bytes, decoder: DeltaDecoder
-) -> Tuple[List[Event], int]:
+) -> Tuple[DeltaBatch, int]:
     """Decode an EVENTS payload through the session's ``decoder``.
 
-    Returns ``(events, base)`` — ``base`` is the stream position the
-    batch claims to start at. Returned events carry ``idx = -1`` — the
-    session stamps global stream positions.
+    Returns ``(batch, base)`` — ``base`` is the stream position the
+    batch claims to start at.
 
     Raises:
         PayloadError: On an unknown encoding tag, a CRC mismatch, or any

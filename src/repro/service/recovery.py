@@ -10,12 +10,13 @@ directory:
 * ``<id>.ckpt`` — an ``RSPOOL2`` **snapshot**, written atomically
   (temp file + ``os.replace``) so a ``kill -9`` can never leave a
   half-written snapshot where a good one used to be;
-* ``<id>.log`` — an append-only **log** of the events fed since that
-  snapshot: one record per checkpoint interval, each one positioned
-  ``DELTA_EVENTS_POS`` payload (:class:`~repro.service.protocol.DeltaEncoder`,
-  fresh at every snapshot, so a log decodes on its own) behind a length
-  and a CRC32. The log header names the session and the snapshot it
-  extends (position and payload CRC32), so a log left behind by an older
+* ``<id>.log`` — an append-only **log** of the batches fed since that
+  snapshot: one record per checkpoint interval, the positioned
+  ``DELTA_EVENTS_POS`` payload of that interval's batches joined into
+  one :class:`~repro.trace.packed.DeltaBatch` (table bases, new names
+  and columns, as the session absorbed them) behind a length and a
+  CRC32. The log header names the session and the snapshot it extends
+  (position and payload CRC32), so a log left behind by an older
   snapshot is never replayed onto a newer one.
 
 A checkpoint appends to the log, and writes a full snapshot (resetting
@@ -24,9 +25,13 @@ frozen state is not constant-size — the race detector's findings list
 grows with the stream — so rewriting it every interval would write
 quadratic bytes; this geometric schedule writes amortized O(1) bytes
 per event, and replaying a log never costs more than the snapshot it
-extends. Restoring is thaw + replay of the log's good records through
-:meth:`StreamingSession.feed`; a torn or corrupt tail is cut off, which
-loses only events past the last good record.
+extends. Restoring is thaw, then each good record decoded and fed
+exactly as live traffic is: a :class:`~repro.service.protocol.DeltaDecoder`
+continuing the name tables the snapshot holds, then
+:meth:`StreamingSession.feed`. A log segment belongs to one table epoch
+(a batch restarting the epoch makes the next checkpoint a snapshot). A
+torn or corrupt tail is cut off, which loses only events past the last
+good record.
 
 Every snapshot carries a CRC32 of its frozen payload and every record
 its own, so damage the rename discipline cannot prevent — bit rot, a
@@ -70,7 +75,8 @@ from typing import Dict, List, Tuple, Union
 
 from ..core.snapshot import CheckpointError, freeze, thaw
 from ..faults.injector import fire
-from .protocol import DeltaDecoder, DeltaEncoder, decode_events_ex
+from ..trace.packed import DeltaBatch
+from .protocol import DeltaDecoder, decode_events_ex, encode_batch
 from .session import StreamingSession
 
 #: Format tag stored in every spooled session checkpoint.
@@ -97,11 +103,13 @@ SPOOL_MAGIC = b"RSPOOL2\n"
 _HEADER_LEN = struct.Struct("<I")
 _PAYLOAD_META = struct.Struct("<IQ")  # crc32, length
 
-#: Log file magic. The layout is ``magic | u32 id-length | id utf-8 |
+#: Log file magic (v2: records continue the session's table epoch). The layout is ``magic | u32 id-length | id utf-8 |
 #: u64 snapshot position | u32 snapshot payload-crc32``, then records of
 #: ``u32 record-length | u32 record-crc32 | record``, each record one
-#: positioned delta EVENTS payload.
-LOG_MAGIC = b"RSPLOG1\n"
+#: positioned delta EVENTS payload. A log with another magic (an
+#: ``RSPLOG1`` log, whose records started fresh tables at each
+#: snapshot) never matches a header and is cut, unread.
+LOG_MAGIC = b"RSPLOG2\n"
 
 _LOG_ANCHOR = struct.Struct("<QI")  # snapshot position, payload crc32
 _RECORD_META = struct.Struct("<II")  # length, crc32
@@ -204,15 +212,14 @@ def restore_session(checkpoint: SessionCheckpoint) -> StreamingSession:
 
 class _LogWriter:
     """The append side of one session's log: the header binding it to
-    its snapshot, the bytes it may grow to, and its encoder."""
+    its snapshot and the bytes it may grow to."""
 
-    __slots__ = ("header", "limit", "size", "encoder")
+    __slots__ = ("header", "limit", "size")
 
     def __init__(self, header: bytes, limit: int) -> None:
         self.header = header
         self.limit = limit
         self.size = 0
-        self.encoder = DeltaEncoder()
 
 
 def _log_header(session_id: str, position: int, payload_crc: int) -> bytes:
@@ -285,8 +292,10 @@ class RecoveryManager:
             if not batches:
                 self._logs[session_id] = log
                 return LogAppend(session_id, session.position, 0)
-            events = [event for _, chunk in batches for event in chunk]
-            record = log.encoder.encode(events, base=batches[0][0])
+            record = encode_batch(
+                DeltaBatch.concat([batch for _, batch in batches]),
+                base=batches[0][0],
+            )
             data = _RECORD_META.pack(len(record), zlib.crc32(record)) + record
             if not log.size:
                 data = log.header + data
@@ -409,7 +418,7 @@ class RecoveryManager:
             # nothing this snapshot holds.
             _unlink(path)
             return
-        decoder = DeltaDecoder()
+        decoder = DeltaDecoder(session.store.wire_tables())
         offset = len(header)
         while len(data) - offset >= _RECORD_META.size:
             length, crc = _RECORD_META.unpack_from(data, offset)
@@ -418,8 +427,8 @@ class RecoveryManager:
             if len(record) < length or zlib.crc32(record) != crc:
                 break
             try:
-                events, base = decode_events_ex(record, decoder)
-                session.feed(events, base=base)
+                batch, base = decode_events_ex(record, decoder)
+                session.feed(batch, base=base)
             except Exception as exc:
                 raise RecoveryError(
                     f"{path.name}: record at byte {offset} does not "

@@ -42,7 +42,7 @@ from ..obs import tracing
 from ..obs.metrics import STATS_SCHEMA, MetricsRegistry
 from ..faults.injector import fire
 from ..faults.plan import ShardCrash
-from ..trace.events import Event
+from ..trace.packed import DeltaBatch
 from .recovery import (
     RecoveryError,
     RecoveryManager,
@@ -265,7 +265,6 @@ class ShardWorker:
         session_id: str,
         analyses: Sequence[Tuple[str, Dict[str, Any]]],
         name: str,
-        packed: bool,
         resume: bool,
         lenient: bool = False,
     ) -> Dict[str, Any]:
@@ -304,13 +303,9 @@ class ShardWorker:
                     "shard=%d: nothing recoverable here",
                     session_id, self.shard_id,
                 )
-                session = StreamingSession(
-                    session_id, analyses, name=name, packed=packed
-                )
+                session = StreamingSession(session_id, analyses, name=name)
         else:
-            session = StreamingSession(
-                session_id, analyses, name=name, packed=packed
-            )
+            session = StreamingSession(session_id, analyses, name=name)
         self.sessions[session_id] = session
         self._last_checkpoint[session_id] = session.position
         if self.recovery is not None and not resumed:
@@ -327,7 +322,7 @@ class ShardWorker:
     def do_events(
         self,
         session_id: str,
-        events: List[Event],
+        events: DeltaBatch,
         base: Optional[int] = None,
     ) -> None:
         session = self._session(session_id)
@@ -994,7 +989,7 @@ class Router:
                         continue
                     try:
                         shard.call(
-                            "open", session_id, [], "stream", False, True
+                            "open", session_id, [], "stream", True
                         )
                     except RouterError as exc:
                         log.error(
@@ -1017,7 +1012,6 @@ class Router:
         self,
         analyses: Sequence[Tuple[str, Dict[str, Any]]],
         name: str = "stream",
-        packed: bool = False,
         session_id: Optional[str] = None,
         resume: bool = False,
         lenient: bool = False,
@@ -1025,13 +1019,13 @@ class Router:
         """Open (or resume) a session; returns id/position/resumed."""
         session_id = session_id or uuid.uuid4().hex
         return self._shard(session_id).call(
-            "open", session_id, list(analyses), name, packed, resume, lenient
+            "open", session_id, list(analyses), name, resume, lenient
         )
 
     def feed(
         self,
         session_id: str,
-        events: List[Event],
+        events: DeltaBatch,
         base: Optional[int] = None,
     ) -> int:
         """Enqueue one batch (pipelined; :class:`BusyError` = backpressure).
@@ -1135,14 +1129,13 @@ class Router:
         self,
         analyses: Sequence[Tuple[str, Dict[str, Any]]],
         name: str = "stream",
-        packed: bool = False,
         session_id: Optional[str] = None,
         resume: bool = False,
         lenient: bool = False,
     ) -> _Future:
         session_id = session_id or uuid.uuid4().hex
         return self._shard(session_id).submit(
-            "open", session_id, list(analyses), name, packed, resume, lenient
+            "open", session_id, list(analyses), name, resume, lenient
         )
 
     def submit_import(self, session_id: str, blob: bytes) -> _Future:
@@ -1201,7 +1194,7 @@ class Router:
         for session_id in ids:
             try:
                 info = self._shard(session_id).call(
-                    "open", session_id, [], "stream", False, True
+                    "open", session_id, [], "stream", True
                 )
             except RouterError as exc:
                 quarantined = self.recovery.quarantine(session_id)

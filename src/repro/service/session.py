@@ -14,9 +14,17 @@ lifecycle) with what a long-running service additionally needs:
   and thaw the complete analysis state (riding
   :func:`repro.core.snapshot.freeze`), which is what
   :class:`~repro.service.recovery.RecoveryManager` snapshots to disk;
+* **packed batches** — every batch is a
+  :class:`~repro.trace.packed.DeltaBatch` (the connection decodes EVENTS
+  frames into them; event lists are interned into one), swept packed
+  over the session's own store, which absorbs each batch's new names
+  and maps the client's indices onto its tables;
 * **a journal** — once the spool starts it (:meth:`drain_journal`),
-  every batch fed is recorded as ``(base, events)`` until the next
-  checkpoint drains it into the session's append-only spool log.
+  every batch fed is recorded as ``(base, batch)`` until the next
+  checkpoint drains it into the session's append-only spool log. A
+  batch that restarts the name-table epoch (a resumed client's fresh
+  encoder) drops the journal, so the next checkpoint is a snapshot and
+  every log segment belongs to one epoch.
 
 Because ``run()`` ≡ feed-in-chunks-then-``finish()`` (property-tested
 in ``tests/test_api_feed.py``), a session fed over the wire — in any
@@ -27,7 +35,7 @@ trace. That equivalence is the service's correctness story.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..api.analysis import Analysis, CheckerAnalysis
 from ..api.report import SessionResult, finding_dict
@@ -35,6 +43,7 @@ from ..api.session import Session
 from ..core.snapshot import freeze, thaw, CheckpointError
 from ..obs import tracing
 from ..trace.events import Event
+from ..trace.packed import DeltaBatch, PackedStore
 
 
 #: Events a journal holds at most before it is dropped (see ``feed``).
@@ -49,9 +58,6 @@ class StreamingSession:
         analyses: ``(name, options)`` pairs resolved through the
             registry, or ready analysis instances.
         name: Trace name stamped into reports.
-        packed: Drive the packed dispatch sweep instead of the string
-            path (the analysis path — independent of how events are
-            encoded on the wire).
     """
 
     def __init__(
@@ -59,7 +65,6 @@ class StreamingSession:
         session_id: str,
         analyses: Sequence[Any],
         name: str = "stream",
-        packed: bool = False,
     ) -> None:
         from ..api.registry import create_analysis
 
@@ -74,7 +79,6 @@ class StreamingSession:
                 instances.append(create_analysis(name_, **options))
                 self.analysis_names.append(name_)
         self.session_id = session_id
-        self.packed = packed
         self.session = Session(None, instances, name=name)
         self.events_fed = 0
         self.error: Optional[str] = None
@@ -101,7 +105,7 @@ class StreamingSession:
     #: Batches fed since the last checkpoint, as ``(base, events)``; None
     #: until a spool starts the journal. Never pickled: a checkpoint
     #: covers everything the journal held.
-    _journal: Optional[List[Tuple[int, Sequence[Event]]]] = None
+    _journal: Optional[List[Tuple[int, DeltaBatch]]] = None
 
     def __getstate__(self) -> Dict[str, Any]:
         state = self.__dict__.copy()
@@ -109,6 +113,12 @@ class StreamingSession:
         return state
 
     # -- streaming ---------------------------------------------------------
+
+    @property
+    def store(self) -> PackedStore:
+        """The session's own packed store: its name tables and the map
+        from the client's indices of the current table epoch."""
+        return self.session.packed_store()
 
     @property
     def position(self) -> int:
@@ -130,51 +140,59 @@ class StreamingSession:
             self.error_code = code
             self.quarantined_at = self.events_fed
 
-    def feed(self, events: Sequence[Event], base: Optional[int] = None) -> int:
-        """Ingest one batch, stamping global stream indices.
+    def feed(
+        self,
+        events: Union[DeltaBatch, Sequence[Event]],
+        base: Optional[int] = None,
+    ) -> int:
+        """Ingest one batch at stream positions ``base`` onward.
 
         ``base`` is the stream position the batch claims to start at
         (positioned EVENTS frames). A batch at or before the current
         position has its overlap dropped — at-least-once delivery
         (client retransmits, duplicated frames) is idempotent. A batch
-        *past* the position means events were lost; it is dropped whole
-        and the session marked :attr:`out_of_sync` so no short report
-        can ever masquerade as a complete one.
+        *past* the position means events were lost, and a batch whose
+        name tables start past the names this session absorbed cannot be
+        mapped; either is dropped whole and the session marked
+        :attr:`out_of_sync`, so no short report can ever masquerade as a
+        complete one.
 
         Returns the number of *new* findings the batch surfaced.
         """
         if self.result is not None:
             raise RuntimeError(f"session {self.session_id} already closed")
+        store = self.session.packed_store()
+        batch = events if isinstance(events, DeltaBatch) else store.delta_of(events)
         position = self.events_fed
         if base is not None:
-            if base > position:
-                self.out_of_sync = True
-                return 0
             if base < position:
                 overlap = position - base
-                if overlap >= len(events):
+                if overlap >= len(batch):
                     return 0  # pure duplicate delivery
-                events = events[overlap:]
+                batch = batch.tail(overlap)
+            if base > position or store.gap(batch):
+                self.out_of_sync = True
+                return 0
             self.out_of_sync = False
-        for offset, event in enumerate(events):
-            event.idx = position + offset
+        if store.restarts(batch):
+            self._journal = None  # the next checkpoint is a snapshot
         with tracing.span(
             "session.ingest",
             session=self.session_id,
             base=position,
-            events=len(events),
+            events=len(batch),
         ):
-            self.session.feed(events, packed=self.packed or None)
-        self.events_fed = position + len(events)
+            self.session.feed(batch)
+        self.events_fed = position + len(batch)
         journal = self._journal
         if journal is not None:
             if journal and position - journal[0][0] >= JOURNAL_LIMIT:
                 # No checkpoint for this long (a spool without periodic
-                # checkpoints): stop holding events; the next checkpoint
+                # checkpoints): stop holding batches; the next checkpoint
                 # is a full snapshot instead of a log append.
                 self._journal = None
             else:
-                journal.append((position, events))
+                journal.append((position, batch))
         return self._observe()
 
     def finish(self) -> SessionResult:
@@ -229,7 +247,7 @@ class StreamingSession:
 
     # -- checkpointing -----------------------------------------------------
 
-    def drain_journal(self) -> Optional[List[Tuple[int, Sequence[Event]]]]:
+    def drain_journal(self) -> Optional[List[Tuple[int, DeltaBatch]]]:
         """The batches fed since the previous call, oldest first, and a
         fresh journal; None when the journal was not running (the first
         call, or it was dropped in ``feed``)."""
@@ -259,6 +277,11 @@ class StreamingSession:
             )
         if not hasattr(session, "_segments"):  # frozen with a finding log
             raise CheckpointError("session checkpoint predates finding ids")
+        if "packed" in vars(session):
+            # frozen by a service that could sweep sessions string-mode
+            raise CheckpointError(
+                "session checkpoint predates the packed service sweep"
+            )
         return session
 
 

@@ -95,6 +95,16 @@ class Interner:
         """The interned names, in index order (a copy)."""
         return self._names[:]
 
+    def __getstate__(self) -> List[str]:
+        # The index is the names' inverse: pickle the names alone.
+        return self._names
+
+    def __setstate__(self, names) -> None:
+        if isinstance(names, tuple):  # pickled with both slots
+            names = names[1]["_names"]
+        self._names = names
+        self._index = {name: idx for idx, name in enumerate(names)}
+
     def names_from(self, start: int) -> List[str]:
         """The names interned at index ``start`` onward (a copy).
 
@@ -141,17 +151,22 @@ class PackedTrace:
     ) -> "PackedTrace":
         """Compile ``trace`` (any event iterable) in one pass."""
         packed = cls(name=name or getattr(trace, "name", "trace"))
-        thread_of = packed.threads.index_of
+        packed._intern_into(trace, packed._thread, packed._op, packed._target)
+        return packed
+
+    def _intern_into(self, events: Iterable[Event], threads_arr, ops_arr,
+                     targets_arr) -> None:
+        """Intern ``events`` into this trace's tables, appending their
+        records to the given columns (thread first, then target: the
+        order every encoder and the wire share)."""
+        thread_of = self.threads.index_of
         interner_of_ns = (
-            packed.variables.index_of,
-            packed.locks.index_of,
+            self.variables.index_of,
+            self.locks.index_of,
             thread_of,
-            packed.labels.index_of,
+            self.labels.index_of,
         )
-        threads_arr = packed._thread
-        ops_arr = packed._op
-        targets_arr = packed._target
-        for event in trace:
+        for event in events:
             op = event.op
             target = event.target
             threads_arr.append(thread_of(event.thread))
@@ -160,7 +175,6 @@ class PackedTrace:
                 NO_TARGET if target is None
                 else interner_of_ns[_NAMESPACE_OF_OP[op]](target)
             )
-        return packed
 
     def append(self, event: Event) -> None:
         """Append one event (interning names as needed)."""
@@ -174,46 +188,6 @@ class PackedTrace:
             ns = _NAMESPACE_OF_OP[op]
             interner = (self.variables, self.locks, self.threads, self.labels)[ns]
             self._target.append(interner.index_of(target))
-
-    def extend_from(self, other: "PackedTrace") -> None:
-        """Append every event of ``other`` (a streaming-store append).
-
-        When ``other`` shares this trace's interner tables (a slice of
-        the same source, or a peer built against them) the integer
-        records are copied verbatim — no hashing, no ``Event``
-        objects. Otherwise each record is remapped name-by-name through
-        this trace's interners (one table build per namespace, then
-        O(1) per event). This is how an incremental
-        :meth:`repro.api.session.Session.feed` grows its packed store
-        from arbitrary packed batches.
-        """
-        o_threads, o_ops, o_targets = other.arrays()
-        if (
-            other.threads is self.threads
-            and other.variables is self.variables
-            and other.locks is self.locks
-            and other.labels is self.labels
-        ):
-            self._thread.extend(o_threads)
-            self._op.extend(o_ops)
-            self._target.extend(o_targets)
-            return
-        t_map = [self.threads.index_of(n) for n in other.threads._names]
-        ns_map = (
-            [self.variables.index_of(n) for n in other.variables._names],
-            [self.locks.index_of(n) for n in other.locks._names],
-            t_map,
-            [self.labels.index_of(n) for n in other.labels._names],
-        )
-        for i in range(len(other)):
-            op = o_ops[i]
-            target = o_targets[i]
-            self._thread.append(t_map[o_threads[i]])
-            self._op.append(op)
-            self._target.append(
-                NO_TARGET if target == NO_TARGET
-                else ns_map[_NAMESPACE_OF_OP[op]][target]
-            )
 
     # -- raw access --------------------------------------------------------
 
@@ -232,6 +206,12 @@ class PackedTrace:
     @property
     def lock_names(self) -> List[str]:
         return self.locks._names
+
+    def name_tables(self) -> tuple:
+        """The live name lists in namespace order (variable, lock,
+        thread, label), indexed like the target column."""
+        return (self.variables._names, self.locks._names,
+                self.threads._names, self.labels._names)
 
     def target_name(self, i: int) -> Optional[str]:
         """The target of event ``i`` as a string (None for bare markers)."""
@@ -317,6 +297,257 @@ class PackedTrace:
 
     def lock_set(self) -> Set[str]:
         return set(self.locks._names)
+
+
+class DeltaBatch:
+    """One batch of packed events plus the name-table deltas it needs.
+
+    The decoded form of one EVENTS frame, and of one spool log record:
+    for each namespace (variable, lock, thread, label), the table base
+    the batch was encoded against and the names it adds, then the
+    ``(thread, op, target)`` columns. Column indices refer to the whole
+    table of the batch's source, names of earlier batches of the same
+    stream included; a :class:`PackedStore` absorbs the names into its
+    own tables and maps the columns onto them.
+
+    ``names`` are the source's complete tables (the decoder's own
+    lists). Only iteration reads them, and pickling drops them, so a
+    batch crosses a process boundary in O(events + new names).
+    """
+
+    __slots__ = ("tables", "threads", "ops", "targets", "_names")
+
+    def __init__(self, tables, threads, ops, targets, names=None) -> None:
+        self.tables = tables
+        self.threads = threads
+        self.ops = ops
+        self.targets = targets
+        self._names = names
+
+    def __len__(self) -> int:
+        return len(self.ops)
+
+    @property
+    def fresh(self) -> bool:
+        """Whether every table starts at 0: the first batch of a fresh
+        encoder, or a batch re-sending whole tables."""
+        (v, _), (l, _), (t, _), (b, _) = self.tables
+        return v == l == t == b == 0
+
+    @classmethod
+    def concat(cls, batches: Sequence["DeltaBatch"]) -> "DeltaBatch":
+        """One batch equal to absorbing ``batches`` in order (consecutive
+        batches of one stream): each table runs from the first batch's
+        base to the last name any of them adds, and the columns are
+        joined."""
+        if len(batches) == 1:
+            return batches[0]
+        tables = []
+        for ns, (start, names) in enumerate(batches[0].tables):
+            merged = list(names)
+            for batch in batches[1:]:
+                base, more = batch.tables[ns]
+                merged.extend(more[start + len(merged) - base:])
+            tables.append((start, merged))
+        columns = [array(kind) for kind in "ibi"]
+        for batch in batches:
+            for column, part in zip(columns, (batch.threads, batch.ops,
+                                              batch.targets)):
+                column.extend(part)
+        return cls(tuple(tables), *columns)
+
+    def tail(self, start: int) -> "DeltaBatch":
+        """The same name deltas with the events from ``start`` on."""
+        return DeltaBatch(self.tables, self.threads[start:], self.ops[start:],
+                          self.targets[start:], self._names)
+
+    def __iter__(self) -> Iterator[Event]:
+        """The events, rebuilt through the source tables (idx unset)."""
+        names = self._names
+        if names is None:
+            raise TypeError("batch has no source tables to rebuild events from")
+        thread_names = names[_NS_THREAD]
+        for t, code, target in zip(self.threads, self.ops, self.targets):
+            yield Event(
+                thread_names[t], Op(code),
+                None if target == NO_TARGET
+                else names[_NAMESPACE_OF_OP[code]][target],
+            )
+
+    def __getstate__(self) -> tuple:
+        return self.tables, self.threads, self.ops, self.targets
+
+    def __setstate__(self, state: tuple) -> None:
+        self.tables, self.threads, self.ops, self.targets = state
+        self._names = None
+
+
+#: Source marker of a store whose batches are :class:`DeltaBatch` es.
+WIRE = "wire"
+
+_NO_REMAP = [None, None, None, None]
+
+
+class PackedStore(PackedTrace):
+    """A streaming session's own packed store.
+
+    The store owns its name tables: :meth:`absorb` copies a batch's new
+    names into them and maps the batch's columns onto them, so nothing
+    the store holds is shared with whoever built the batch. Its columns
+    are a window, the batch being swept at stream positions ``base``
+    onward, so the store costs O(distinct names), never O(events).
+
+    Batch indices refer to their source's tables: the tables of one
+    encoder's stream for :class:`DeltaBatch` es (a *table epoch*, which a
+    fresh batch restarts), or a :class:`PackedTrace`'s interners for its
+    slices. Per namespace the store counts the source names it has
+    absorbed and keeps their store indices, O(new names) per batch.
+    While every source index equals its store index (the store was empty
+    when the source started) no map is kept and columns are used as
+    they are.
+    """
+
+    __slots__ = ("base", "_source", "_known", "_remap")
+
+    def __init__(self, name: str = "trace") -> None:
+        super().__init__(name)
+        self.base = 0
+        self._restart(None)
+
+    def _restart(self, source) -> None:
+        self._source = source
+        self._known = [0, 0, 0, 0]
+        self._remap = list(_NO_REMAP)
+
+    def _interners(self) -> tuple:
+        return self.variables, self.locks, self.threads, self.labels
+
+    def gap(self, batch: DeltaBatch) -> bool:
+        """Whether ``batch`` needs source names this store never absorbed
+        (its tables start past them), so its columns cannot be mapped."""
+        if batch.fresh:
+            return False
+        if self._source != WIRE:
+            return True
+        for (base, _), known in zip(batch.tables, self._known):
+            if base > known:
+                return True
+        return False
+
+    def restarts(self, batch: DeltaBatch) -> bool:
+        """Whether absorbing ``batch`` discards the absorbed source names
+        (a fresh batch after names of an earlier epoch)."""
+        return any(self._known) and (batch.fresh or self._source != WIRE)
+
+    def absorb(self, batch: Union[DeltaBatch, PackedTrace]) -> tuple:
+        """Take ``batch``'s new names into this store's tables; returns
+        its ``(thread, op, target)`` columns in store indices.
+
+        Raises:
+            ValueError: On a name-table gap (see :meth:`gap`).
+        """
+        known = self._known
+        if isinstance(batch, DeltaBatch):
+            if self._source != WIRE or (batch.fresh and any(known)):
+                self._restart(WIRE)
+                known = self._known
+            tables = batch.tables
+            columns = batch.threads, batch.ops, batch.targets
+        else:
+            source = (batch.variables, batch.locks, batch.threads,
+                      batch.labels)
+            if self._source != source:
+                self._restart(source)
+                known = self._known
+            tables = [(k, interner.names_from(k))
+                      for k, interner in zip(known, source)]
+            columns = batch.arrays()
+        for ns, (base, names) in enumerate(tables):
+            if base + len(names) > known[ns] or base > known[ns]:
+                self._extend(ns, base, names)
+        if self._remap == _NO_REMAP:
+            return columns
+        return self._mapped(*columns)
+
+    def _extend(self, ns: int, base: int, names: Sequence[str]) -> None:
+        known = self._known[ns]
+        if base > known:
+            raise ValueError(
+                f"name table gap: batch base {base}, store has {known}"
+            )
+        index_of = self._interners()[ns].index_of
+        mapped = [index_of(name) for name in names[known - base:]]
+        remap = self._remap[ns]
+        if remap is not None:
+            remap.extend(mapped)
+        elif mapped != list(range(known, known + len(mapped))):
+            self._remap[ns] = list(range(known)) + mapped
+        self._known[ns] = known + len(mapped)
+
+    def _mapped(self, threads, ops, targets) -> tuple:
+        maps = [range(k) if r is None else r
+                for r, k in zip(self._remap, self._known)]
+        if self._remap[_NS_THREAD] is not None:
+            threads = array("i", map(maps[_NS_THREAD].__getitem__, threads))
+        ns_of = _NAMESPACE_OF_OP
+        targets = array("i", [
+            target if target == NO_TARGET else maps[ns_of[op]][target]
+            for op, target in zip(ops, targets)
+        ])
+        return threads, ops, targets
+
+    def delta_of(self, events: Iterable[Event]) -> DeltaBatch:
+        """``events`` as the batch an encoder continuing this store's
+        table epoch would send: interned here, with store indices as
+        source indices. A store whose indices are not its epoch's (none
+        yet, a map, names from elsewhere) restarts it: the batch carries
+        the whole tables from 0."""
+        interners = self._interners()
+        starts = self._known
+        if (
+            self._source != WIRE
+            or self._remap != _NO_REMAP
+            or starts != [len(interner) for interner in interners]
+        ):
+            starts = [0, 0, 0, 0]
+        columns = array("i"), array("b"), array("i")
+        self._intern_into(events, *columns)
+        tables = tuple((start, interner.names_from(start))
+                       for start, interner in zip(starts, interners))
+        return DeltaBatch(tables, *columns, names=self.name_tables())
+
+    def wire_tables(self) -> List[List[str]]:
+        """The absorbed names by source index, in namespace order: the
+        tables a decoder continuing this store's epoch starts from."""
+        return [
+            names[:k] if r is None else [names[j] for j in r]
+            for names, k, r in zip(self.name_tables(), self._known,
+                                   self._remap)
+        ]
+
+    def set_window(self, columns: tuple, base: int) -> None:
+        """Hold ``columns`` (store indices) at stream positions ``base``
+        onward: the batch being swept."""
+        self._thread, self._op, self._target = columns
+        self.base = base
+
+    def event_at(self, i: int) -> Event:
+        """Reconstruct the event at stream position ``i`` (in the window)."""
+        event = PackedTrace.event_at(self, i - self.base)
+        event.idx = i
+        return event
+
+    def __getstate__(self) -> tuple:
+        # The window is transient, and a trace source is known only by
+        # identity: after a restore its next slice restarts the map.
+        source = self._source if self._source == WIRE else None
+        return (self.name, self.threads, self.variables, self.locks,
+                self.labels, self.base, source, self._known, self._remap)
+
+    def __setstate__(self, state: tuple) -> None:
+        (self.name, self.threads, self.variables, self.locks, self.labels,
+         self.base, self._source, self._known, self._remap) = state
+        self._thread, self._op, self._target = array("i"), array("b"), array("i")
 
 
 def pack(trace: Iterable[Event], name: Optional[str] = None) -> PackedTrace:

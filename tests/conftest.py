@@ -2,7 +2,22 @@
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
+
+# When a property fails, Hypothesis's pytest plugin imports its patch
+# writer, which imports libcst, which raises a mypy_extensions
+# DeprecationWarning at import time. pytest.ini turns that warning into
+# an error, so the failure report itself crashed (INTERNALERROR) and
+# the failing example was lost. Importing it once here, with the
+# warning silenced, keeps the normal FAILED report.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # libcst absent: the plugin skips the patch
+        pass
 
 from repro import Trace, begin, end, read, write
 

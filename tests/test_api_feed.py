@@ -18,7 +18,7 @@ from repro.api import Session
 from repro.api.registry import available_analyses
 from repro.sim import trace_zoo
 from repro.sim.random_traces import RandomTraceConfig, random_trace
-from repro.trace.packed import PackedTrace, pack
+from repro.trace.packed import pack
 
 #: Specimens covering verdicts, locks, fork/join and early stops.
 SPECIMENS = (
@@ -197,7 +197,7 @@ def test_finish_without_events_is_empty_pass():
 
 def test_packed_store_grows_interners_mid_stream():
     """Names unseen at bind time appear in later batches (the growth
-    case lazy_binder must survive)."""
+    case the packed sweep's state caches must survive)."""
     from repro.trace.events import begin, end, read, write
 
     events = [
@@ -217,21 +217,21 @@ def test_packed_store_grows_interners_mid_stream():
     assert analyses_json(fed.finish()) == analyses_json(base)
 
 
-def test_extend_from_remaps_foreign_interners():
+def test_feed_remaps_foreign_interners():
+    """Packed batches from two traces with their own interners: the
+    session's store absorbs each source's names once, maps both onto
+    its own tables, and modifies neither batch."""
     spec = trace_zoo.get("lock-cycle")
     a = pack(spec.trace())
-    store = PackedTrace("store")
-    store.extend_from(a)  # foreign interners: full remap
-    assert list(store) == list(a)
     b = pack(spec.trace())
-    store.extend_from(b[: len(b)])
-    assert len(store) == 2 * len(a)
     names = ["aerodrome"]
+    fed = Session(None, names, name="store")
+    fed.feed(a)
+    fed.feed(b[: len(b)])  # foreign interners: a fresh map onto the store
+    assert len(fed.packed_store().variable_names) == len(a.variable_names)
+    assert len(a) == len(b) == len(spec.trace())
     double = list(spec.trace()) + list(spec.trace())
     from repro.trace.trace import Trace
 
     base = Session(pack(Trace(double, name="store")), names).run()
-    assert (
-        analyses_json(Session(store, names, name="store").run())
-        == analyses_json(base)
-    )
+    assert analyses_json(fed.finish()) == analyses_json(base)

@@ -222,9 +222,10 @@ class TestSpoolLogFuzz:
         if kind == "undecodable":
             record = bytes([protocol.DELTA_EVENTS_POS]) + b"junk" * 4
         else:
-            # An encoder in the log's state: its name tables continue.
+            # An encoder in the log's state: its name tables continue
+            # the session's table epoch, which began with the stream.
             encoder = protocol.DeltaEncoder()
-            encoder.encode(events[SNAPSHOT_AT:end], base=SNAPSHOT_AT)
+            encoder.encode(events[:end], base=0)
             base = end if kind == "feed-raises" else end + 1
             record = encoder.encode([Event("t-new", Op.END, None)], base=base)
         manager = _respool(

@@ -8,7 +8,7 @@ tests pin the three things that layout has to get right:
 * a log is only ever replayed onto the snapshot it extends — not after
   a crash between a snapshot's rename and the log reset, not after a
   handoff import, and not across restarts, where the recovered session
-  starts a fresh segment (snapshot + fresh encoder);
+  starts a fresh segment (a snapshot, then records);
 * every path ends with the offline report once the client re-sends
   from the position the spool reports;
 * bytes written stay linear in the stream: after every save the log is
@@ -83,7 +83,7 @@ class TestStaleLogs:
         unread, and the session recovers at the snapshot."""
         manager = RecoveryManager(tmp_path)
         worker = ShardWorker(0, manager, 64)
-        worker.do_open(SID, ANALYSES, "raytracer", False, False)
+        worker.do_open(SID, ANALYSES, "raytracer", False)
         _stream(worker, events, 0, 256)
         old_log = manager.log_path_for(SID).read_bytes()
         assert len(old_log) > 0
@@ -106,7 +106,7 @@ class TestStaleLogs:
         snapshot's CRC32)."""
         manager = _Recording(tmp_path)
         worker = ShardWorker(0, manager, 16)
-        worker.do_open(SID, ["aerodrome"], "raytracer", False, False)
+        worker.do_open(SID, ["aerodrome"], "raytracer", False)
         _stream(worker, events, 0, 48, batch=16)
         assert [s for _, _, s in manager.writes] == [True, False, False, False]
         old_log = manager.log_path_for(SID).read_bytes()
@@ -120,7 +120,7 @@ class TestStaleLogs:
     def test_handoff_import_over_a_session_with_a_log(self, tmp_path, events):
         manager = RecoveryManager(tmp_path)
         worker = ShardWorker(0, manager, 64)
-        worker.do_open(SID, ANALYSES, "raytracer", False, False)
+        worker.do_open(SID, ANALYSES, "raytracer", False)
         _stream(worker, events, 0, 200)
         assert manager.log_path_for(SID).exists()
         ahead = StreamingSession(SID, ANALYSES, name="raytracer")
@@ -138,18 +138,18 @@ class TestStaleLogs:
 
     def test_restart_appends_restart(self, tmp_path, events):
         """Each recovered session starts a fresh segment: its first save
-        is a snapshot, later ones append records a fresh encoder wrote,
-        and a second restart replays them."""
+        is a snapshot, later ones append records, and a second restart
+        replays them."""
         first = _Recording(tmp_path)
         worker = ShardWorker(0, first, 64)
-        worker.do_open(SID, ANALYSES, "raytracer", False, False)
+        worker.do_open(SID, ANALYSES, "raytracer", False)
         _stream(worker, events, 0, 300)
         last, _, snapshot = first.writes[-1]
         assert not snapshot  # so the restart replays a log
 
         second = _Recording(tmp_path)
         worker = ShardWorker(0, second, 64)
-        position = worker.do_open(SID, [], "stream", False, True)["position"]
+        position = worker.do_open(SID, [], "stream", True)["position"]
         assert position == last
         _stream(worker, events, position, 700)
         kinds = [s for _, _, s in second.writes]
@@ -163,7 +163,7 @@ class TestStaleLogs:
         manager = RecoveryManager(tmp_path)
         worker = ShardWorker(0, manager, 64)
         for sid in ("a", "b", "c"):
-            worker.do_open(sid, ANALYSES, "raytracer", False, False)
+            worker.do_open(sid, ANALYSES, "raytracer", False)
             worker.do_events(sid, events[:48], 0)
             assert worker.do_checkpoint(sid)["position"] == 48  # appends
             assert manager.log_path_for(sid).exists()
@@ -222,7 +222,7 @@ def test_bytes_written_stay_linear(tmp_path, analyses):
     assert len(events) >= 20_000
     manager = _Recording(tmp_path)
     worker = ShardWorker(0, manager, 1000)
-    worker.do_open(SID, analyses, "raytracer", False, False)
+    worker.do_open(SID, analyses, "raytracer", False)
     for lo in range(0, len(events), 512):
         worker.do_events(SID, events[lo : lo + 512], lo)
     assert worker.sessions[SID].position == len(events)
