@@ -370,7 +370,7 @@ def bench_service(
 ) -> Dict:
     """Streamed-vs-offline throughput + agreement for the service.
 
-    This starts an in-process ``repro serve`` (thread shards, loopback
+    This starts an in-process ``repro serve`` (in-loop shards, loopback
     TCP), then for each concurrency level streams the workload through
     that many simultaneous sessions and compares every returned
     ``repro-report/1`` document against the offline ``Session.run()``

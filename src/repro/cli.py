@@ -187,6 +187,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except OSError as error:
         print(f"cannot bind {args.host}:{args.port}: {error}", file=sys.stderr)
         return 2
+    except ValueError as error:
+        print(f"repro serve: {error}", file=sys.stderr)
+        return 2
     if server.cluster is not None:
         print(
             f"cluster node {server.cluster.node_id} "
@@ -971,8 +974,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers", choices=("thread", "process"), default="thread",
-        help="shard workers: threads (default; right for 1-CPU hosts) "
-        "or one OS process per shard for parallel ingest",
+        help="shard workers: 'thread' (default) runs every shard "
+        "inline on the server's event loop; 'process' runs one OS "
+        "process per shard for parallel ingest and isolation",
     )
     serve.add_argument(
         "--spool", default=None, metavar="DIR",
@@ -984,8 +988,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="auto-checkpoint each session every N events (with --spool)",
     )
     serve.add_argument(
-        "--queue-size", type=int, default=64, metavar="N",
-        help="per-shard inbox bound in batches (full = BUSY backpressure)",
+        "--queue-size", type=int, default=None, metavar="N",
+        help="per-shard inbox bound in batches (full = BUSY "
+        "backpressure; default 64); needs --workers process: in-loop "
+        "shards never queue, so their backpressure is TCP's",
     )
     serve.add_argument(
         "--ready-file", default=None, metavar="PATH",
@@ -1038,7 +1044,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--tenant-quota", type=int, default=None, metavar="N",
         help="max inflight EVENTS batches per session before the "
-        "router sheds the tenant with a paced BUSY (default: no quota)",
+        "router sheds the tenant with a paced BUSY (default: no quota); "
+        "needs --workers process, the only shards that hold batches "
+        "inflight",
     )
     serve.add_argument(
         "--metrics-port", type=int, default=None, metavar="PORT",

@@ -11,8 +11,8 @@ single attribute load and a ``None`` check — the existing service
 suites (zoo agreement, checkpoint/restart) run the untouched code
 paths. Installing a plan (:func:`install`, or the :func:`injected`
 context manager the chaos drills use) arms every site at once,
-process-wide; sites in shard worker threads and forked shard processes
-see the same plan object (fork inherits it).
+process-wide; sites in in-loop shards and forked shard processes see
+the same plan object (fork inherits it).
 
 Frame mutators used by the wire sites live here too, so the client and
 server inject byte-level damage the same deterministic way.

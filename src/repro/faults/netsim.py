@@ -98,8 +98,9 @@ class NetSim:
         suspect_after: Simulated seconds of silence before a death
             verdict (default: the coordinator's 4-interval rule).
         tenant_quota: Per-tenant inflight batch quota on every node
-            (``None`` disables shedding).
+            (``None`` disables shedding; needs ``workers="process"``).
         shards: Shards per node.
+        workers: Shard kind on every node (``"thread"``: in-loop).
     """
 
     def __init__(
@@ -110,6 +111,7 @@ class NetSim:
         suspect_after: Optional[float] = None,
         tenant_quota: Optional[int] = None,
         shards: int = 1,
+        workers: str = "thread",
     ) -> None:
         if nodes < 2:
             raise ValueError("a network simulation needs at least 2 nodes")
@@ -127,6 +129,7 @@ class NetSim:
         )
         self.tenant_quota = tenant_quota
         self.shards = shards
+        self.workers = workers
         self.clock = SimClock()
         self.servers: Dict[str, Any] = {}
         self.rounds = 0
@@ -155,6 +158,7 @@ class NetSim:
             server = ServiceServer(
                 port=0,
                 shards=self.shards,
+                workers=self.workers,
                 spool=str(Path(self._root) / node_id),
                 checkpoint_every=4,
                 cluster=True,
@@ -512,7 +516,10 @@ def cluster_scenario_overload_shed(seed: int) -> ScenarioResult:
     checks = _Checks()
     plan = FaultPlan(seed=seed)  # no faults: the overload is organic
     quota = 2
-    with NetSim(nodes=2, seed=seed, tenant_quota=quota) as sim:
+    # Only process shards hold batches inflight, so only they take a quota.
+    with NetSim(
+        nodes=2, seed=seed, tenant_quota=quota, workers="process"
+    ) as sim:
         checks.expect(sim.converge() >= 0, "ring converged after boot")
         session_id = "drill-net-shed"
         sim.track(session_id)

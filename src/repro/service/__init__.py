@@ -14,8 +14,9 @@ turns the one-pass :mod:`repro.api` session engine into that service:
   tenant: incremental analyses state, a monotonic violation log, a
   checkpoint handle;
 * :mod:`~repro.service.router` — shard-per-worker routing: sessions
-  hash to shards, shards share nothing, bounded inbox queues give
-  backpressure (``BUSY``), per-shard metrics aggregate into
+  hash to shards, shards share nothing (by default each runs inline on
+  the server's event loop; process shards' bounded inbox queues give
+  backpressure, ``BUSY``), per-shard metrics aggregate into
   ``stats()``;
 * :mod:`~repro.service.server` / :mod:`~repro.service.client` — the
   TCP daemon behind ``repro serve`` and the client SDK behind

@@ -16,8 +16,12 @@ The driving contract::
     wire.receive_bytes(chunk)          # as bytes arrive
     futures = wire.pump()              # advance the state machine
     # futures is None  -> idle: write wire.outbox, read more bytes
-    # futures is [...] -> a shard owes replies: subscribe a wakeup,
-    #                     keep serving other sockets, then pump() again
+    #                     (wire.more: frames are still buffered, so
+    #                     pump() again after serving other sockets)
+    # futures is [...] -> a process shard owes replies: subscribe a
+    #                     wakeup, keep serving other sockets, then
+    #                     pump() again (in-loop shards settle every
+    #                     future before pump() sees it)
     # wire.reset             -> drop the socket, sending nothing
     # wire.close_after_send  -> close once outbox is flushed
 
@@ -101,6 +105,9 @@ class WireConnection:
         #: Drop the transport NOW, without writing (injected reset).
         self.reset = False
         self._pending = None  # (futures, finish) of the in-flight command
+        #: The last :meth:`pump` stopped after an EVENTS frame with more
+        #: bytes buffered: pump again without waiting for a read.
+        self.more = False
 
     # -- transport-facing ---------------------------------------------------
 
@@ -113,14 +120,16 @@ class WireConnection:
         self.frames.feed(data)
 
     def pump(self) -> Optional[List[Any]]:
-        """Advance: decode and dispatch every buffered frame.
+        """Advance: decode and dispatch buffered frames, stopping after
+        the first EVENTS frame.
 
         Returns ``None`` when idle (flush :attr:`outbox`, read more
-        bytes) or the list of unresolved shard futures the in-flight
-        command is waiting on (wait for them, then ``pump()`` again).
-        Never raises: every failure becomes a reply frame and/or a
-        close flag.
+        bytes; if :attr:`more` is set, pump again first) or the list of
+        unresolved shard futures the in-flight command is waiting on
+        (wait for them, then ``pump()`` again). Never raises: every
+        failure becomes a reply frame and/or a close flag.
         """
+        self.more = False
         while not self.closing:
             if self._pending is not None:
                 futures, finish = self._pending
@@ -139,6 +148,13 @@ class WireConnection:
                 return None
             ftype, payload = frame
             self._guard(lambda: self._dispatch(ftype, payload))
+            if ftype == FrameType.EVENTS and self.frames.buffered:
+                # An in-loop shard has just fed the batch on the loop
+                # thread: let other connections in before the next
+                # frame a pipelining client has buffered here, so one
+                # turn of the loop feeds at most one frame of it.
+                self.more = True
+                return None
         return None
 
     def on_wire_error(self, error: Exception) -> None:

@@ -244,7 +244,7 @@ class RecoveryManager:
 
     Log writers are kept per session id, and only the shard worker that
     owns a session saves, loads or drops it, so each writer has one
-    user and nothing here is locked (thread shards share the dict, but
+    user and nothing here is locked (in-loop shards share the dict, but
     never a key).
     """
 

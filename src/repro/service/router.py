@@ -5,25 +5,28 @@ survey's data-ownership pattern: **partition by session, share nothing
 across shards, serialize only at the ingest frame boundary.** Every
 session hashes (stable CRC32 of its id) to exactly one shard; a shard
 owns its sessions' entire analysis state and is driven by exactly one
-worker, so no lock ever guards checker state. The only cross-shard
-structures are the bounded inbox queues — which are also the
-backpressure mechanism: when a shard's inbox is full, the router raises
-:class:`BusyError` and the server answers the client with a ``BUSY``
-frame instead of buffering unboundedly.
+owner at a time, so checker state is never shared.
 
-Shards are **threads by default** — on the 1-CPU build container
-processes cannot help, and threads keep checkpoint spools and stats in
-one address space. On real hardware, ``workers="process"`` runs every
-shard as its own OS process (the same worker loop, driven through
-multiprocessing queues, with the start method chosen the way
-:mod:`repro.api.parallel` chooses it — fork preferred so interner
-tables and code are inherited copy-on-write), giving true parallel
-ingest across shards.
+By default a shard runs **on the calling thread** — in ``repro serve``
+that is the event loop — under one lock per shard: ``feed`` applies
+the batch before it returns, and control commands return settled
+futures. Under the GIL a shard thread adds no parallelism, only a
+queue hop and a thread switch per command. Other threads (cluster
+gossip, ``/metrics``, recovery) serialize on the shard's lock.
 
-Event batches are fire-and-forget (pipelined): ``feed`` returns as soon
-as the batch is enqueued, and any processing error is parked on the
-session and surfaced at the next synchronous command (flush, close).
-Control commands are synchronous request/response futures.
+``workers="process"`` runs every shard as its own OS process (driven
+through bounded multiprocessing queues, with the start method chosen
+the way :mod:`repro.api.parallel` chooses it — fork preferred so
+interner tables and code are inherited copy-on-write), giving parallel
+ingest across shards and a crash domain per shard. Only process shards
+have an inbox: a full one raises :class:`BusyError` and the server
+answers the client with a ``BUSY`` frame instead of buffering
+unboundedly. Their event batches are pipelined: ``feed`` returns once
+the batch is enqueued, and their replies resolve futures on a
+collector thread.
+
+On both kinds a batch's processing error is parked on the session and
+surfaced at the next synchronous command (flush, close).
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from .session import StreamingSession
 #: ``session=<id> shard=<n>`` so partial failures keep attribution.
 log = logging.getLogger("repro.service")
 
-#: Default bound of each shard's inbox queue (batches, not events).
+#: Default bound of each process shard's inbox queue (batches, not events).
 DEFAULT_QUEUE_SIZE = 64
 
 #: Seconds a control command may wait to *enqueue* before BusyError.
@@ -80,8 +83,8 @@ class RouterError(RuntimeError):
 
 
 class BusyError(RouterError):
-    """A shard's inbox is full (or a tenant is over its inflight
-    quota) — backpressure; retry after a pause.
+    """A process shard's inbox is full (or a tenant is over its
+    inflight quota) — backpressure; retry after a pause.
 
     ``retry_ms`` is the server's pacing hint: how long the client
     should wait before retrying (rides the BUSY frame). ``shed`` marks
@@ -121,19 +124,31 @@ class _Future:
     """A one-shot reply slot for shard commands.
 
     Blocking callers :meth:`wait`; the server's event loop instead
-    :meth:`subscribe`\\ s a callback (fired from the resolving shard's
-    thread — subscribers must be thread-safe, e.g. poke a wakeup pipe)
-    and later reads :meth:`result` without ever blocking.
+    :meth:`subscribe`\\ s a callback (fired from the resolving thread —
+    subscribers must be thread-safe, e.g. poke a wakeup pipe) and later
+    reads :meth:`result` without ever blocking. An in-loop shard hands
+    out futures that are resolved at birth (:meth:`settled`): they carry
+    no ``Event`` or lock, and subscribing to one runs the callback at
+    once.
     """
 
     __slots__ = ("_event", "_lock", "_callback", "value", "error")
 
     def __init__(self) -> None:
-        self._event = threading.Event()
+        self._event: Optional[threading.Event] = threading.Event()
         self._lock = threading.Lock()
         self._callback = None
         self.value: Any = None
         self.error: Optional[Tuple[str, str]] = None  # (kind, message)
+
+    @classmethod
+    def settled(cls, ok: bool, value: Any) -> "_Future":
+        """A future already resolved to ``value`` (``ok``) or failed
+        with the ``(kind, message)`` pair ``value``."""
+        future = cls.__new__(cls)
+        future._event = future._lock = future._callback = None
+        future.value, future.error = (value, None) if ok else (None, value)
+        return future
 
     def _fire(self) -> None:
         self._event.set()
@@ -151,16 +166,17 @@ class _Future:
         self._fire()
 
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._event is None or self._event.is_set()
 
     def subscribe(self, callback) -> None:
         """Run ``callback(self)`` once resolved (immediately if it
         already is). At most one subscriber; runs on the resolver's
         thread."""
-        with self._lock:
-            if not self._event.is_set():
-                self._callback = callback
-                return
+        if self._event is not None:
+            with self._lock:
+                if not self._event.is_set():
+                    self._callback = callback
+                    return
         callback(self)
 
     def result(self) -> Any:
@@ -168,7 +184,7 @@ class _Future:
 
         Only call after :meth:`done` is true (or from a subscriber).
         """
-        if not self._event.is_set():
+        if not self.done():
             raise RouterError("future is not resolved yet")
         if self.error is not None:
             kind, message = self.error
@@ -190,7 +206,7 @@ class _Future:
                 command is already enqueued and will run; a BUSY here
                 would make the client re-send it, so fail hard instead.
         """
-        if not self._event.wait(timeout):
+        if self._event is not None and not self._event.wait(timeout):
             raise RouterError(
                 f"shard did not answer within {timeout:.0f}s"
             )
@@ -203,8 +219,9 @@ class _Future:
 class ShardWorker:
     """The per-shard state machine: sessions, stats, checkpoints.
 
-    Runs inside exactly one thread or process; nothing here is
-    synchronized because nothing here is shared.
+    Driven by exactly one owner at a time: under its shard's lock on
+    whichever thread calls an in-loop shard, or by the one loop of a
+    process shard. Nothing in here synchronizes; the owner does.
     """
 
     def __init__(
@@ -555,8 +572,26 @@ class ShardWorker:
         return getattr(self, f"do_{op}")(*args)
 
 
+def _execute(worker: ShardWorker, op: str, args: tuple) -> Tuple[bool, Any]:
+    """Run one command: ``(True, value)``, or ``(False, (kind,
+    message))`` for a failure the reply carries. An injected
+    :class:`ShardCrash` (a ``BaseException``) escapes: the worker is
+    dead."""
+    try:
+        return True, worker.handle(op, args)
+    except SessionQuarantined as exc:
+        worker.errors_total.inc()
+        # The code rides the message ("code|detail") so it survives the
+        # picklable (kind, message) reply tuple process shards ship
+        # over their outbox queue.
+        return False, ("SessionQuarantined", f"{exc.code}|{exc}")
+    except Exception as exc:
+        worker.errors_total.inc()
+        return False, (type(exc).__name__, str(exc))
+
+
 def _drive(worker: ShardWorker, inbox, reply) -> None:
-    """The shard loop, shared by thread and process drivers.
+    """A process shard's loop.
 
     ``reply(token, ok, value_or_error)`` delivers synchronous results;
     fire-and-forget commands carry ``token=None`` and park failures on
@@ -569,134 +604,82 @@ def _drive(worker: ShardWorker, inbox, reply) -> None:
                 reply(token, True, None)
             return
         try:
-            value = worker.handle(op, args)
+            ok, value = _execute(worker, op, args)
         except ShardCrash as exc:
             # Injected worker death: answer the caller if one is
             # waiting, then let the exception escape the loop — the
-            # driver thread/process dies exactly like a real crash.
+            # process dies exactly like a real crash.
             if token is not None:
                 reply(token, False, ("ShardCrashed", str(exc)))
             raise
-        except SessionQuarantined as exc:
-            worker.errors_total.inc()
-            if token is not None:
-                # The code rides the message ("code|detail") so it
-                # survives the picklable (kind, message) reply tuple
-                # process shards ship over their outbox queue.
-                reply(token, False, ("SessionQuarantined", f"{exc.code}|{exc}"))
-            continue
-        except Exception as exc:
-            worker.errors_total.inc()
-            if token is not None:
-                reply(token, False, (type(exc).__name__, str(exc)))
-            continue
         if token is not None:
-            reply(token, True, value)
+            reply(token, ok, value)
 
 
-class _ThreadShard:
-    """A shard driven by a daemon thread (the default)."""
+class _LoopShard:
+    """A shard run inline on the calling thread (the default).
+
+    The server's event loop owns it: ``submit``/``call``/``cast`` run
+    the command at once under the shard's lock and return an already
+    settled reply, so an EVENTS batch is applied before its ``OK`` and
+    a FLUSH is answered without a wake-up. Blocking callers on other
+    threads (cluster gossip, ``/metrics``, recovery) serialize on the
+    lock. There is no inbox, so nothing ever queues here: backpressure
+    on this shard kind is the connection's TCP window.
+    """
 
     def __init__(
         self,
         shard_id: int,
-        queue_size: int,
         recovery: Optional[RecoveryManager],
         checkpoint_every: Optional[int],
     ) -> None:
         self.shard_id = shard_id
-        self.inbox: "queue.Queue" = queue.Queue(maxsize=queue_size)
         self._worker = ShardWorker(shard_id, recovery, checkpoint_every)
+        self._lock = threading.Lock()
         self._dead: Optional[str] = None
-        self._thread = threading.Thread(
-            target=self._run,
-            name=f"repro-shard-{shard_id}",
-            daemon=True,
-        )
-        self._thread.start()
-
-    def _run(self) -> None:
-        try:
-            _drive(self._worker, self.inbox, self._reply)
-        except BaseException as exc:  # the worker died mid-command
-            self._dead = f"{type(exc).__name__}: {exc}"
-            log.error(
-                "shard worker died shard=%d: %s", self.shard_id, self._dead
-            )
-            # Queued commands will never run: fail any waiting callers
-            # so nothing blocks on a reply from a dead worker.
-            while True:
-                try:
-                    token, _op, _args = self.inbox.get_nowait()
-                except queue.Empty:
-                    break
-                if token is not None:
-                    token.fail(
-                        "ShardCrashed",
-                        f"shard {self.shard_id} died before the command "
-                        f"ran: {self._dead}",
-                    )
-
-    @staticmethod
-    def _reply(future: _Future, ok: bool, value: Any) -> None:
-        if ok:
-            future.resolve(value)
-        else:
-            future.fail(*value)
 
     def alive(self) -> bool:
-        return self._dead is None and self._thread.is_alive()
+        return self._dead is None
 
-    def _enqueue(self, op: str, args: tuple, timeout: Optional[float]) -> _Future:
-        future = _Future()
-        try:
-            if timeout is None:
-                self.inbox.put_nowait((future, op, args))
-            else:
-                self.inbox.put((future, op, args), timeout=timeout)
-        except queue.Full:
-            raise BusyError(f"shard {self.shard_id} inbox is full") from None
-        return future
-
-    def call(self, op: str, *args: Any) -> Any:
-        if not self.alive():
-            raise ShardCrashed(
-                f"shard {self.shard_id} is down ({self._dead or 'stopped'})"
-            )
-        return self._enqueue(op, args, CONTROL_TIMEOUT).wait(REPLY_TIMEOUT)
+    def _run(self, op: str, args: tuple) -> Tuple[bool, Any]:
+        with self._lock:
+            if self._dead is not None:
+                raise ShardCrashed(
+                    f"shard {self.shard_id} is down ({self._dead})"
+                )
+            try:
+                return _execute(self._worker, op, args)
+            except ShardCrash as exc:
+                # The worker died mid-command: its state is gone, and
+                # the router restarts the shard from the spool on the
+                # next command routed here.
+                self._dead = f"{type(exc).__name__}: {exc}"
+                log.error(
+                    "shard worker died shard=%d: %s", self.shard_id, self._dead
+                )
+                return False, ("ShardCrashed", str(exc))
 
     def submit(self, op: str, *args: Any) -> _Future:
-        """Non-blocking :meth:`call`: enqueue now (a full inbox is an
-        immediate :class:`BusyError`, no CONTROL_TIMEOUT grace — event
-        loops must never sleep) and return the reply :class:`_Future`.
-        """
-        if not self.alive():
-            raise ShardCrashed(
-                f"shard {self.shard_id} is down ({self._dead or 'stopped'})"
-            )
-        return self._enqueue(op, args, None)
+        """Run the command now; its reply is a settled :class:`_Future`."""
+        return _Future.settled(*self._run(op, args))
+
+    def call(self, op: str, *args: Any) -> Any:
+        return self.submit(op, *args).result()
 
     def cast(self, op: str, *args: Any) -> None:
-        if not self.alive():
-            raise ShardCrashed(
-                f"shard {self.shard_id} is down ({self._dead or 'stopped'})"
-            )
-        try:
-            self.inbox.put_nowait((None, op, args))
-        except queue.Full:
-            raise BusyError(f"shard {self.shard_id} inbox is full") from None
+        """Run the command now, dropping its reply: a failure is parked
+        on the session (or, for a crash, on the shard) exactly as if
+        the batch had been queued."""
+        self._run(op, args)
 
     def queue_depth(self) -> int:
-        return self.inbox.qsize()
+        return 0
 
     def stop(self) -> None:
-        if not self.alive():
-            return
-        try:
-            self.inbox.put((None, "stop", ()), timeout=1.0)
-        except queue.Full:
-            return  # daemon thread; process teardown reaps it
-        self._thread.join(timeout=5.0)
+        with self._lock:
+            if self._dead is None:
+                self._dead = "stopped"
 
 
 class _OrphanAwareInbox:
@@ -816,7 +799,10 @@ class _ProcessShard:
         return self._enqueue(op, args, CONTROL_TIMEOUT).wait(REPLY_TIMEOUT)
 
     def submit(self, op: str, *args: Any) -> _Future:
-        """Non-blocking :meth:`call` (see :meth:`_ThreadShard.submit`)."""
+        """Non-blocking :meth:`call`: enqueue now (a full inbox is an
+        immediate :class:`BusyError`, no CONTROL_TIMEOUT grace — event
+        loops must never sleep) and return the reply :class:`_Future`.
+        """
         if not self.alive():
             raise ShardCrashed(f"shard {self.shard_id} process is down")
         return self._enqueue(op, args, None)
@@ -890,24 +876,28 @@ class Router:
     Args:
         shards: Worker count (one shard per worker).
         workers: ``"thread"`` (default) or ``"process"``.
-        queue_size: Bound of each shard's inbox (batches). Full inbox =
+        queue_size: Bound of each process shard's inbox (batches;
+            ``None`` = :data:`DEFAULT_QUEUE_SIZE`). Full inbox =
             :class:`BusyError` = a ``BUSY`` frame on the wire.
         recovery: Spool manager for checkpointed recovery, or ``None``.
         checkpoint_every: Auto-checkpoint a session every N ingested
             events (requires ``recovery``).
         tenant_quota: Max EVENTS batches one session may have inflight
-            (enqueued but not yet processed) before the router sheds
-            its traffic with a paced :class:`BusyError` — overload
-            isolation so one hot tenant cannot monopolize a shared
-            shard inbox. ``None`` (default) disables the quota and its
-            per-batch accounting entirely.
+            (enqueued on a process shard but not yet processed) before
+            the router sheds its traffic with a paced
+            :class:`BusyError` — overload isolation so one hot tenant
+            cannot monopolize a shared shard inbox. ``None`` (default)
+            disables the quota and its per-batch accounting entirely.
+
+    ``queue_size`` and ``tenant_quota`` need ``workers="process"``: an
+    in-loop shard has no inbox to bound.
     """
 
     def __init__(
         self,
         shards: int = 1,
         workers: str = "thread",
-        queue_size: int = DEFAULT_QUEUE_SIZE,
+        queue_size: Optional[int] = None,
         recovery: Optional[RecoveryManager] = None,
         checkpoint_every: Optional[int] = None,
         tenant_quota: Optional[int] = None,
@@ -916,17 +906,22 @@ class Router:
             raise ValueError("router needs at least one shard")
         if workers not in ("thread", "process"):
             raise ValueError(f"workers must be 'thread' or 'process', not {workers!r}")
-        self._shard_cls = _ThreadShard if workers == "thread" else _ProcessShard
-        self.workers = workers
-        self.recovery = recovery
-        self._queue_size = queue_size
-        self._checkpoint_every = checkpoint_every
-        self._shards = [
-            self._shard_cls(i, queue_size, recovery, checkpoint_every)
-            for i in range(shards)
-        ]
+        if workers != "process" and (
+            queue_size is not None or tenant_quota is not None
+        ):
+            raise ValueError(
+                "queue size and tenant quota need process shards: an "
+                "in-loop shard has no inbox to bound"
+            )
         if tenant_quota is not None and tenant_quota < 1:
             raise ValueError("tenant_quota must be >= 1 (or None to disable)")
+        self.workers = workers
+        self.recovery = recovery
+        self._queue_size = (
+            DEFAULT_QUEUE_SIZE if queue_size is None else queue_size
+        )
+        self._checkpoint_every = checkpoint_every
+        self._shards = [self._new_shard(i) for i in range(shards)]
         self.tenant_quota = tenant_quota
         #: Batches currently inflight per session (quota mode only).
         self._inflight: Dict[str, int] = {}
@@ -939,6 +934,13 @@ class Router:
         #: Spool entries quarantined during :meth:`recover` (salvage).
         self.salvaged: List[Dict[str, str]] = []
         self._closed = False
+
+    def _new_shard(self, idx: int):
+        if self.workers == "process":
+            return _ProcessShard(
+                idx, self._queue_size, self.recovery, self._checkpoint_every
+            )
+        return _LoopShard(idx, self.recovery, self._checkpoint_every)
 
     # -- routing -----------------------------------------------------------
 
@@ -963,9 +965,7 @@ class Router:
             if shard.alive():
                 return shard
             log.error("restarting dead shard=%d", idx)
-            shard = self._shard_cls(
-                idx, self._queue_size, self.recovery, self._checkpoint_every
-            )
+            shard = self._new_shard(idx)
             self._shards[idx] = shard
             self.restarts += 1
             if self.tenant_quota is not None:
@@ -1028,15 +1028,17 @@ class Router:
         events: DeltaBatch,
         base: Optional[int] = None,
     ) -> int:
-        """Enqueue one batch (pipelined; :class:`BusyError` = backpressure).
+        """Apply one batch (in-loop shards) or enqueue it (process
+        shards, pipelined; :class:`BusyError` = backpressure).
 
         ``base`` is the stream position the batch claims to start at
         (from a positioned EVENTS frame); the session drops overlap and
         flags gaps, making at-least-once delivery idempotent.
 
-        With a ``tenant_quota`` set, a session already at its inflight
-        cap is shed: :class:`BusyError` with ``shed=True`` and a
-        ``retry_ms`` pacing hint that grows with the backlog.
+        With a ``tenant_quota`` set (process shards only), a session
+        already at its inflight cap is shed: :class:`BusyError` with
+        ``shed=True`` and a ``retry_ms`` pacing hint that grows with the
+        backlog.
         """
         action = fire("shard.inbox", key=session_id)
         if action is not None and action.op == "stall":
@@ -1059,11 +1061,9 @@ class Router:
                     shed=True,
                 )
             self._inflight[session_id] = inflight + 1
-        # Quota mode trades the fire-and-forget cast for a tracked
-        # future: the subscriber decrements the tenant's inflight count
-        # when the shard finishes (or fails) the batch. Works for both
-        # worker kinds — process shards resolve futures through their
-        # collector thread.
+        # Quota mode trades the reply-less cast for a tracked future:
+        # the collector thread's subscriber decrements the tenant's
+        # inflight count when the shard finishes (or fails) the batch.
         try:
             future = self._shard(session_id).submit(
                 "events", session_id, events, base
@@ -1120,10 +1120,12 @@ class Router:
     # -- non-blocking surface (the server's event loop) ------------------
     #
     # Same commands, but the caller gets the reply _Future instead of a
-    # blocked thread: the selectors loop subscribes a wakeup callback
-    # and keeps serving other connections while the shard works. Full
-    # inboxes surface as an *immediate* BusyError (BUSY on the wire) —
-    # an event loop has no thread to park for CONTROL_TIMEOUT.
+    # blocked thread. An in-loop shard's future is settled on return;
+    # for a process shard the selectors loop subscribes a wakeup
+    # callback and keeps serving other connections while the shard
+    # works. Full inboxes surface as an *immediate* BusyError (BUSY on
+    # the wire) — an event loop has no thread to park for
+    # CONTROL_TIMEOUT.
 
     def submit_open(
         self,

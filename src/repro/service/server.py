@@ -10,8 +10,11 @@ machine; the loop only moves bytes:
   peer's reply queue is over the high-water mark;
 * a coarse **deadline wheel** instead of per-socket ``settimeout``
   (O(1) arm per read, lazy reinsertion on the expiry sweep);
-* shard replies resolve through future subscriptions that poke a
-  self-pipe, so the loop never blocks on the router.
+* default shards run inline on the loop (an EVENTS batch is applied
+  before its ``OK``, a FLUSH is answered without a wake-up, and a
+  connection gets one EVENTS frame per loop turn); only process
+  shards' replies resolve through future subscriptions that poke a
+  self-pipe, so the loop never waits on another thread's reply.
 
 Idle connections cost one fd and a few KB, which is what lets one
 server hold ten thousand sessions.
@@ -156,11 +159,16 @@ class _AsyncConn:
 class _AsyncServer:
     """The single-threaded ``selectors`` front end.
 
-    One loop owns every socket. Blocking never happens: reads and
-    writes are non-blocking, shard commands go through the router's
-    ``submit`` surface, and reply futures wake the loop through a
-    self-pipe (the shard thread appends the connection to a ready
-    deque and sends one byte).
+    One loop owns every socket. Reads and writes are non-blocking and
+    shard commands go through the router's ``submit`` surface. A
+    default (in-loop) shard runs the command right there; a connection
+    gets one EVENTS frame per loop turn (the rest of what a pipelining
+    client sent waits in its backlog), so a turn's stall is one frame's
+    feed or one control command per ready connection (``loop_lag_ms``
+    reports the worst). A process
+    shard's reply future wakes the loop through a self-pipe: its
+    collector thread appends the connection to a ready deque and sends
+    one byte.
     """
 
     def __init__(
@@ -178,12 +186,16 @@ class _AsyncServer:
         self.server_address = self._listen.getsockname()
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._listen, selectors.EVENT_READ, None)
-        # Self-pipe: shard threads resolving futures poke the loop.
+        # Self-pipe: process shards' collector threads resolving
+        # futures (and shutdown) poke the loop.
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
         self._wake_w.setblocking(False)
         self._selector.register(self._wake_r, selectors.EVENT_READ, "wake")
         self._ready: collections.deque = collections.deque()
+        # Connections whose pump stopped with frames still buffered
+        # (``wire.more``), by fd: each is pumped once per loop turn.
+        self._backlog: Dict[int, _AsyncConn] = {}
         self._conns: Dict[int, _AsyncConn] = {}
         resolution = 0.5
         if read_timeout:
@@ -247,10 +259,18 @@ class _AsyncServer:
         try:
             while not self._stopping:
                 timeout = None
-                if self.read_timeout and self._conns:
+                if self._backlog:
+                    timeout = 0
+                elif self.read_timeout and self._conns:
                     timeout = self._wheel.next_timeout(time.monotonic())
                 events = self._selector.select(timeout)
                 started = time.monotonic()
+                if self._backlog:
+                    turn = list(self._backlog.values())
+                    self._backlog.clear()
+                    for conn in turn:
+                        if not conn.closed:
+                            self._pump(conn)
                 for key, mask in events:
                     if key.data is None:
                         self._accept()
@@ -260,7 +280,14 @@ class _AsyncServer:
                         conn = key.data
                         if mask & selectors.EVENT_WRITE and not conn.closed:
                             self._write_some(conn)
-                        if mask & selectors.EVENT_READ and not conn.closed:
+                        if (
+                            mask & selectors.EVENT_READ
+                            and not conn.closed
+                            and conn.fd not in self._backlog
+                        ):
+                            # A backlogged peer's next bytes wait in
+                            # its socket (TCP backpressure) until the
+                            # frames it already sent are served.
                             self._read_some(conn)
                 while self._ready:
                     conn = self._ready.popleft()
@@ -352,13 +379,15 @@ class _AsyncServer:
             wake = self._waker(conn)
             for future in futures:
                 future.subscribe(wake)
+        elif conn.wire.more:
+            self._backlog[conn.fd] = conn
         self._flush(conn)
 
     def _waker(self, conn: _AsyncConn):
         def wake(_future: Any) -> None:
-            # Runs on the resolving shard's thread (or inline on the
-            # loop thread if the future is already done): hand the
-            # connection back to the loop and poke the self-pipe.
+            # Runs on a process shard's collector thread (or inline
+            # on the loop thread if the future is already done): hand
+            # the connection back to the loop and poke the self-pipe.
             self._ready.append(conn)
             try:
                 self._wake_w.send(b"\x01")
@@ -444,6 +473,7 @@ class _AsyncServer:
             self.ring_high_water, conn.wire.frames.high_water
         )
         self._conns.pop(conn.fd, None)
+        self._backlog.pop(conn.fd, None)
         try:
             self._selector.unregister(conn.sock)
         except (KeyError, ValueError, OSError):
@@ -517,13 +547,15 @@ class ServiceServer:
         host/port: Bind address (``port=0`` picks a free port; read the
             chosen one from :attr:`port`).
         shards: Worker shards (sessions hash across them).
-        workers: ``"thread"`` (default) or ``"process"`` shards.
+        workers: ``"thread"`` (default: shards run inline on the event
+            loop) or ``"process"`` shards.
         spool: Checkpoint spool directory — enables recovery; on
             construction, sessions spooled by a previous incarnation
             are re-opened at their checkpointed positions (corrupt
             entries are quarantined to ``*.bad``; see :attr:`salvaged`).
         checkpoint_every: Auto-checkpoint interval in events.
-        queue_size: Shard inbox bound (batches) before ``BUSY``.
+        queue_size: Process-shard inbox bound (batches) before ``BUSY``
+            (``None``: the router's default; ``workers="process"`` only).
         read_timeout: Per-connection read deadline in seconds
             (``None`` disables; default :data:`DEFAULT_READ_TIMEOUT`).
         cluster: Join the multi-node protocol even without peers (a
@@ -537,7 +569,8 @@ class ServiceServer:
         gossip_interval: Seconds between cluster gossip ticks.
         suspect_after: Seconds of peer silence before declaring it dead.
         tenant_quota: Max inflight EVENTS batches per session before
-            the router sheds with a paced ``BUSY`` (``None`` disables).
+            the router sheds with a paced ``BUSY`` (``None`` disables;
+            ``workers="process"`` only).
         metrics_port: Also serve Prometheus text on
             ``http://host:metrics_port/metrics`` (``0`` picks a free
             port — read it from :attr:`metrics_port`; ``None``
@@ -552,7 +585,7 @@ class ServiceServer:
         workers: str = "thread",
         spool: Union[str, Path, None] = None,
         checkpoint_every: Optional[int] = 1000,
-        queue_size: int = 64,
+        queue_size: Optional[int] = None,
         read_timeout: Optional[float] = DEFAULT_READ_TIMEOUT,
         cluster: bool = False,
         join: Sequence[str] = (),

@@ -127,10 +127,18 @@ class TestSuspicion:
 class TestShedding:
     def test_quota_must_be_positive(self):
         with pytest.raises(ValueError):
-            Router(shards=1, tenant_quota=0)
+            Router(shards=1, workers="process", tenant_quota=0)
+
+    def test_in_loop_shards_take_no_inbox_bounds(self):
+        # An in-loop shard has no inbox: a quota or an inbox bound
+        # could never act, so the router refuses them.
+        with pytest.raises(ValueError):
+            Router(shards=1, tenant_quota=1)
+        with pytest.raises(ValueError):
+            Router(shards=1, queue_size=8)
 
     def test_over_quota_feed_is_shed_with_a_pacing_hint(self):
-        router = Router(shards=1, tenant_quota=1)
+        router = Router(shards=1, workers="process", tenant_quota=1)
         try:
             router.open_session([("races", {})], session_id="tenant-1")
             with router._inflight_lock:
@@ -150,7 +158,7 @@ class TestShedding:
             router.shutdown()
 
     def test_quota_slots_release_after_processing(self):
-        router = Router(shards=1, tenant_quota=2)
+        router = Router(shards=1, workers="process", tenant_quota=2)
         try:
             router.open_session([("races", {})], session_id="tenant-1")
             events = list(trace_zoo.get("paper-rho1").trace())[:4]

@@ -171,7 +171,9 @@ class TestRouter:
             )
 
     def test_full_inbox_raises_busy(self):
-        with Router(shards=1, queue_size=2) as router:
+        # Process shards are the kind with an inbox; in-loop shards
+        # apply each batch before feed returns and never queue.
+        with Router(shards=1, workers="process", queue_size=2) as router:
             info = router.open_session([("aerodrome", {})])
             sid = info["session"]
             spec = trace_zoo.get("paper-rho1")

@@ -253,6 +253,37 @@ def test_delta_second_frame_ships_no_repeated_names():
     assert len(replay) == expected
 
 
+#: SHA-256 of every EVENTS frame of the seed-7 raytracer row at scale
+#: 0.2 (10,002 events), per batch size, as encoded by the one-
+#: ``_TRIPLE.pack``-per-event encoder this one replaced. The largest
+#: size is one frame of that trace ten times over.
+ENCODED_RAYTRACER_SHA256 = {
+    64: "38ad4d7ab15e5d9048f63b5ea9ddfb4cc36b9dab7d196eaa3986d7e456a5e1a0",
+    512: "93a8cd2d692381966f07e1f26c0f4200f5ddbbefc92863904a7768d36ce75d08",
+    100_020: "1370810f6aa21f9ebc0880ff495c6cba9a20a0718149feeab2d7696eaba0b3dc",
+}
+
+
+@pytest.mark.parametrize("size", sorted(ENCODED_RAYTRACER_SHA256))
+def test_delta_encoder_bytes_are_pinned(size):
+    """The encoder's fast path (dict subscripts, triples packed in
+    runs) writes byte-identical frames, a 100k-event one included."""
+    import hashlib
+
+    from repro.sim.workloads.benchmarks import get_case
+
+    events = list(get_case("raytracer").generate(seed=7, scale=0.2))
+    assert len(events) == 10_002
+    if size > len(events):
+        events = events * (size // len(events))
+    encoder = DeltaEncoder()
+    digest = hashlib.sha256()
+    for lo in range(0, len(events), size):
+        payload = encoder.encode(events[lo : lo + size], base=lo)
+        digest.update(encode_frame(FrameType.EVENTS, payload))
+    assert digest.hexdigest() == ENCODED_RAYTRACER_SHA256[size]
+
+
 def test_delta_frame_retransmit_is_idempotent():
     """A frame resent through BUSY must not shift the name tables
     (regression: duplicated names skewed every later index)."""
