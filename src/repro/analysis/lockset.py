@@ -62,6 +62,17 @@ class LocksetWarning:
     thread: str
     is_write: bool
 
+    def __init__(
+        self, event_idx: int, variable: str, thread: str, is_write: bool
+    ) -> None:
+        # As Race's: stored through __dict__, in field order, in place of
+        # the generated frozen __init__'s object.__setattr__ per field.
+        values = self.__dict__
+        values["event_idx"] = event_idx
+        values["variable"] = variable
+        values["thread"] = thread
+        values["is_write"] = is_write
+
     def __str__(self) -> str:
         kind = "write" if self.is_write else "read"
         return (

@@ -82,6 +82,15 @@ class Race:
     thread: str
     kind: str
 
+    def __init__(self, variable: str, event_idx: int, thread: str, kind: str) -> None:
+        # The generated frozen __init__ pays one object.__setattr__ per
+        # field; storing through __dict__, in field order, costs half.
+        values = self.__dict__
+        values["variable"] = variable
+        values["event_idx"] = event_idx
+        values["thread"] = thread
+        values["kind"] = kind
+
     def __str__(self) -> str:
         return (
             f"{self.kind} race on {self.variable!r} at event "

@@ -7,12 +7,22 @@ versioned ``repro-report/1`` schema shared by the CLI (``--json``), the
 bench harness and the tests. The schema is documented in ``docs/API.md``
 and machine-checked by :func:`validate_report` (CI's CLI smoke job runs
 it against a real ``repro check --json`` invocation).
+
+The module also owns the finding format. One layout per finding class
+(its field names, a getter for their values and the JSON key template)
+serves both :func:`finding_dict`, the dict a report carries, and
+:func:`finding_json`, the same finding rendered straight to its compact
+JSON text — what the streaming service ships in FLUSH and REPORT frames
+without building a dict per finding.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 #: Version tag stamped into every serialized session result.
 SCHEMA = "repro-report/1"
@@ -26,34 +36,100 @@ VERDICT_UNDECIDED = "undecided"
 #: Field values ``asdict`` would return as-is (its deep copy is identity).
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 
-#: Finding class -> its field names, or ``None`` for non-dataclasses.
-_FIELD_NAMES: Dict[type, Optional[Tuple[str, ...]]] = {}
+_int_repr = int.__repr__
+
+
+class _Layout(NamedTuple):
+    """One finding dataclass's fixed key layout."""
+
+    #: Field names, in field order.
+    names: Tuple[str, ...]
+    #: ``finding -> tuple of field values``, in field order.
+    values: Callable[[Any], Tuple[Any, ...]]
+    #: The finding's JSON text with a ``%s`` for each rendered value:
+    #: ``'{"variable":%s,"event_idx":%s,…}'``.
+    template: str
+
+
+#: Finding class -> its layout, or ``None`` for non-dataclasses.
+_LAYOUTS: Dict[type, Optional[_Layout]] = {}
+
+
+def _layout_of(cls: type) -> Optional[_Layout]:
+    if not is_dataclass(cls):
+        layout = None
+    else:
+        names = tuple(f.name for f in fields(cls))
+        if len(names) == 1:
+            one = attrgetter(names[0])
+            values = lambda finding: (one(finding),)
+        elif names:
+            values = attrgetter(*names)
+        else:
+            values = lambda finding: ()
+        keys = (encode_basestring_ascii(name).replace("%", "%%") for name in names)
+        template = "{" + ",".join(key + ":%s" for key in keys) + "}"
+        layout = _Layout(names, values, template)
+    _LAYOUTS[cls] = layout
+    return layout
 
 
 def finding_dict(finding: Any) -> Dict[str, Any]:
     """Normalize one finding (Violation, Race, LocksetWarning, …) to a dict.
 
     Dataclasses serialize field-by-field, exactly as
-    :func:`dataclasses.asdict` would: fields are read by a per-class
-    cached name tuple, and any field value that is not a plain scalar
+    :func:`dataclasses.asdict` would: fields are read through the
+    per-class layout, and any field value that is not a plain scalar
     falls back to ``asdict`` itself (which deep-copies containers).
     Anything else becomes a ``{"details": str(finding)}`` record so
     exotic plugin findings never break the schema.
     """
     cls = type(finding)
     try:
-        names = _FIELD_NAMES[cls]
+        layout = _LAYOUTS[cls]
     except KeyError:
-        names = _FIELD_NAMES[cls] = (
-            tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
-        )
-    if names is None:
+        layout = _layout_of(cls)
+    if layout is None:
         return {"details": str(finding)}
-    out = {name: getattr(finding, name) for name in names}
+    out = {name: getattr(finding, name) for name in layout.names}
     for value in out.values():
         if type(value) not in _SCALARS:
             return asdict(finding)
     return out
+
+
+def finding_json(finding: Any) -> str:
+    """The compact JSON text of :func:`finding_dict`, rendered directly.
+
+    Equal to ``json.dumps(finding_dict(finding), separators=(",", ":"))``
+    by construction: the layout's template holds the encoded keys, and
+    each value whose exact type is ``str``, ``int``, ``bool`` or
+    ``None`` is rendered the way ``json.dumps`` renders it. Any other
+    value (floats, enums, ``int``/``str`` subclasses, containers) and
+    any non-dataclass finding go through ``json.dumps`` itself.
+    """
+    cls = type(finding)
+    try:
+        layout = _LAYOUTS[cls]
+    except KeyError:
+        layout = _layout_of(cls)
+    if layout is not None:
+        out = []
+        for value in layout.values(finding):
+            kind = type(value)
+            if kind is str:
+                out.append(encode_basestring_ascii(value))
+            elif kind is int:
+                out.append(_int_repr(value))
+            elif kind is bool:
+                out.append("true" if value else "false")
+            elif value is None:
+                out.append("null")
+            else:
+                break
+        else:
+            return layout.template % tuple(out)
+    return json.dumps(finding_dict(finding), separators=(",", ":"))
 
 
 @dataclass

@@ -309,9 +309,7 @@ class FrameEncoder:
         return frame
 
     def encode_json(self, ftype: int, obj: Dict[str, Any]) -> bytes:
-        return self.encode(
-            ftype, json.dumps(obj, separators=(",", ":")).encode("utf-8")
-        )
+        return self.encode(ftype, _json_payload(obj))
 
 
 class FrameStream:
@@ -378,11 +376,59 @@ def decode_frame(
 # -- JSON payloads ----------------------------------------------------------
 
 
+class JSONRows(list):
+    """A JSON array whose elements are already rendered: a list of the
+    compact JSON texts of its items (the finding rows a FLUSH or CLOSE
+    drains).
+
+    :func:`encode_json` and :meth:`FrameEncoder.encode_json` place a
+    top-level value of this type into the payload as the array of its
+    rows, verbatim. Anywhere else it is a plain list of ``str``, which
+    is also what crosses a process shard's pipe.
+    """
+
+    __slots__ = ()
+
+
+_SEPARATORS = (",", ":")
+
+
+def _json_payload(obj: Dict[str, Any]) -> bytes:
+    """``obj``'s compact JSON text as bytes, rendered rows spliced in.
+    An object without rows (every OK frame, a zero-finding FLUSH) costs
+    one scan of its values on top of ``json.dumps``."""
+    for value in obj.values():
+        if type(value) is JSONRows and value:
+            return _spliced(obj).encode("utf-8")
+    return json.dumps(obj, separators=_SEPARATORS).encode("utf-8")
+
+
+def _spliced(obj: Dict[str, Any]) -> str:
+    """The JSON text of ``obj`` with each :class:`JSONRows` value decoded,
+    built by structure: the items around a rows value are encoded by
+    ``json.dumps`` in the dict's own key order, and the rows go between
+    them as one array. The encoded text is never searched."""
+    parts: List[str] = []
+    plain: Dict[Any, Any] = {}
+    for key, value in obj.items():
+        if type(value) is JSONRows:
+            if plain:
+                parts.append(json.dumps(plain, separators=_SEPARATORS)[1:-1])
+                plain = {}
+            # '{"key":null}' -> '"key":'
+            head = json.dumps({key: None}, separators=_SEPARATORS)[1:-5]
+            parts.append(head + "[" + ",".join(value) + "]")
+        else:
+            plain[key] = value
+    if plain:
+        parts.append(json.dumps(plain, separators=_SEPARATORS)[1:-1])
+    return "{" + ",".join(parts) + "}"
+
+
 def encode_json(ftype: int, obj: Dict[str, Any]) -> bytes:
-    """A frame whose payload is a JSON object."""
-    return encode_frame(
-        ftype, json.dumps(obj, separators=(",", ":")).encode("utf-8")
-    )
+    """A frame whose payload is a JSON object (rows spliced in, as
+    :class:`JSONRows` describes)."""
+    return encode_frame(ftype, _json_payload(obj))
 
 
 def decode_json(payload: bytes) -> Dict[str, Any]:

@@ -7,9 +7,11 @@ lifecycle) with what a long-running service additionally needs:
 * **position** — how many events have been ingested, which is what a
   resuming client uses to know where to restart its stream;
 * **finding delivery by cursor** — findings stay in the analyses' own
-  lists, named by ``(analysis, index)`` ids; ``FLUSH`` frames convert
-  and ship only those past the delivered cursor, while the stream is
-  still running;
+  lists, named by ``(analysis, index)`` ids; a drain renders only those
+  past the delivered cursor straight to their JSON rows
+  (:func:`~repro.api.report.finding_json`, no dict per finding), which
+  ``FLUSH`` and ``CLOSE`` ship as they are, while the stream is still
+  running;
 * **a checkpoint handle** — :meth:`to_bytes`/:meth:`from_bytes` freeze
   and thaw the complete analysis state (riding
   :func:`repro.core.snapshot.freeze`), which is what
@@ -35,15 +37,17 @@ trace. That equivalence is the service's correctness story.
 
 from __future__ import annotations
 
+from json.encoder import encode_basestring_ascii
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..api.analysis import Analysis, CheckerAnalysis
-from ..api.report import SessionResult, finding_dict
+from ..api.report import SessionResult, finding_dict, finding_json
 from ..api.session import Session
 from ..core.snapshot import freeze, thaw, CheckpointError
 from ..obs import tracing
 from ..trace.events import Event
 from ..trace.packed import DeltaBatch, PackedStore
+from .protocol import JSONRows
 
 
 #: Events a journal holds at most before it is dropped (see ``feed``).
@@ -221,29 +225,41 @@ class StreamingSession:
                 self._counts[i] = end
         return self.findings_total - before
 
-    def _findings_from(self, first: int) -> List[Dict[str, Any]]:
-        """Convert the findings of runs ``first`` onwards, in order."""
+    @property
+    def findings(self) -> List[Dict[str, Any]]:
+        """Every finding so far, in delivery order, as the dicts a client
+        decodes from the rows (converted per call)."""
         analyses, names = self.session.analyses, self.analysis_names
         return [
             {"analysis": names[i], "finding": finding_dict(f)}
-            for i, start, end in self._segments[first:]
+            for i, start, end in self._segments
             for f in _current_findings(analyses[i])[start:end]
         ]
-
-    @property
-    def findings(self) -> List[Dict[str, Any]]:
-        """Every finding so far, in delivery order (converted per call)."""
-        return self._findings_from(0)
 
     @property
     def findings_total(self) -> int:
         return sum(self._counts)
 
-    def drain_findings(self) -> List[Dict[str, Any]]:
-        """Findings not yet shipped to the client (advances the cursor)."""
-        fresh = self._findings_from(self._cursor)
-        self._cursor = len(self._segments)
-        return fresh
+    def drain_findings(self) -> JSONRows:
+        """Findings not yet shipped to the client, rendered to their
+        ``{"analysis":…,"finding":…}`` JSON rows in delivery order
+        (advances the cursor)."""
+        first, self._cursor = self._cursor, len(self._segments)
+        rows = JSONRows()
+        if first == self._cursor:
+            return rows
+        analyses = self.session.analyses
+        heads = [
+            '{"analysis":%s,"finding":' % encode_basestring_ascii(name)
+            for name in self.analysis_names
+        ]
+        for i, start, end in self._segments[first:]:
+            head = heads[i]
+            rows += [
+                head + finding_json(f) + "}"
+                for f in _current_findings(analyses[i])[start:end]
+            ]
+        return rows
 
     # -- checkpointing -----------------------------------------------------
 

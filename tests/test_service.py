@@ -10,6 +10,7 @@ extension of the checkpoint-equivalence property in
 ``tests/test_snapshot.py``.
 """
 
+import json
 import os
 import random
 import signal
@@ -81,9 +82,9 @@ class TestStreamingSession:
         drained = []
         for batch in batches(list(spec.trace()), seed=2):
             session.feed(batch)
-            drained.extend(session.drain_findings())
+            drained.extend(map(json.loads, session.drain_findings()))
         session.finish()
-        drained.extend(session.drain_findings())
+        drained.extend(map(json.loads, session.drain_findings()))
         assert drained == session.findings  # each finding exactly once
         assert any(f["analysis"] == "aerodrome" for f in drained)
 
@@ -128,13 +129,13 @@ class TestStreamingSession:
         import repro.service.session as session_module
 
         converted = []
-        real = session_module.finding_dict
+        real = session_module.finding_json
 
         def counting(finding):
             converted.append(finding)
             return real(finding)
 
-        monkeypatch.setattr(session_module, "finding_dict", counting)
+        monkeypatch.setattr(session_module, "finding_json", counting)
         events = list(get_case("raytracer").generate(seed=3, scale=0.01))
         session = StreamingSession("s5", ANALYSES, name="raytracer")
         for k in range(0, len(events), 8):
