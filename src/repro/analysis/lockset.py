@@ -36,6 +36,9 @@ from ..core.checker import make_packed_step
 from ..trace.events import Event, Op
 from ..trace.packed import PackedTrace
 
+#: Stores a frozen dataclass field (see ``LocksetWarning.__init__``).
+_set = object.__setattr__
+
 
 class VarState(Enum):
     """Eraser's per-variable ownership states."""
@@ -65,13 +68,12 @@ class LocksetWarning:
     def __init__(
         self, event_idx: int, variable: str, thread: str, is_write: bool
     ) -> None:
-        # As Race's: stored through __dict__, in field order, in place of
-        # the generated frozen __init__'s object.__setattr__ per field.
-        values = self.__dict__
-        values["event_idx"] = event_idx
-        values["variable"] = variable
-        values["thread"] = thread
-        values["is_write"] = is_write
+        # As Race's: inline values through a module-level alias, in
+        # place of the generated frozen __init__'s lookups.
+        _set(self, "event_idx", event_idx)
+        _set(self, "variable", variable)
+        _set(self, "thread", thread)
+        _set(self, "is_write", is_write)
 
     def __str__(self) -> str:
         kind = "write" if self.is_write else "read"

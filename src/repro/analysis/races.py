@@ -50,6 +50,9 @@ from ..core.vector_clock import VectorClock
 _READ, _WRITE, _ACQUIRE, _RELEASE = Op.READ, Op.WRITE, Op.ACQUIRE, Op.RELEASE
 _FORK, _JOIN = Op.FORK, Op.JOIN
 
+#: Stores a frozen dataclass field (see ``Race.__init__``).
+_set = object.__setattr__
+
 
 @dataclass(frozen=True)
 class Epoch:
@@ -83,13 +86,14 @@ class Race:
     kind: str
 
     def __init__(self, variable: str, event_idx: int, thread: str, kind: str) -> None:
-        # The generated frozen __init__ pays one object.__setattr__ per
-        # field; storing through __dict__, in field order, costs half.
-        values = self.__dict__
-        values["variable"] = variable
-        values["event_idx"] = event_idx
-        values["thread"] = thread
-        values["kind"] = kind
+        # The generated frozen __init__ looks object.__setattr__ up per
+        # field; a module-level alias is cheaper, and unlike a store
+        # through __dict__ it keeps the values inline (no per-instance
+        # dict), which makes every later field read cheaper too.
+        _set(self, "variable", variable)
+        _set(self, "event_idx", event_idx)
+        _set(self, "thread", thread)
+        _set(self, "kind", kind)
 
     def __str__(self) -> str:
         return (

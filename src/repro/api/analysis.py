@@ -38,7 +38,7 @@ from ..trace.packed import PackedTrace
 from ..trace.trace import Trace
 from ..core.checker import packed_sweep
 from ..core.violations import CheckResult, Violation
-from .report import Report, finding_dict
+from .report import Report
 
 #: The run modes a checker analysis understands.
 MODES = ("stop_first", "report_all", "sample")
@@ -315,12 +315,12 @@ class CheckerAnalysis(Analysis):
                 if verdict
                 else f"✗ {len(self.violations)} violation report(s)"
             )
+            violations = list(self.violations)
             return Report(
                 analysis=self.name,
                 kind=self.kind,
                 mode=self.mode,
                 verdict=verdict,
-                violations=[finding_dict(v) for v in self.violations],
                 payload={
                     "algorithm": self.algorithm,
                     "dedupe": self.dedupe,
@@ -328,7 +328,8 @@ class CheckerAnalysis(Analysis):
                 },
                 events_processed=result.events_processed,
                 summary=summary,
-                native=list(self.violations),
+                native=violations,
+                findings=violations,
             )
         verdict = result.serializable
         summary = (
@@ -345,13 +346,11 @@ class CheckerAnalysis(Analysis):
             kind=self.kind,
             mode=self.mode,
             verdict=verdict,
-            violations=(
-                [] if result.violation is None else [finding_dict(result.violation)]
-            ),
             payload=payload,
             events_processed=result.events_processed,
             summary=summary,
             native=result,
+            findings=[] if result.violation is None else [result.violation],
         )
 
 
@@ -374,23 +373,23 @@ class RacesAnalysis(Analysis):
 
     def finish(self) -> Report:
         races = self.detector.races
+        racy = self.detector.racy_variables
         verdict = not races
         summary = (
             "no happens-before data races"
             if verdict
-            else f"{len(races)} race(s) on "
-            f"{len(self.detector.racy_variables)} variable(s)"
+            else f"{len(races)} race(s) on {len(racy)} variable(s)"
         )
         return Report(
             analysis=self.name,
             kind=self.kind,
             mode=self.mode,
             verdict=verdict,
-            violations=[finding_dict(r) for r in races],
-            payload={"racy_variables": sorted(self.detector.racy_variables)},
+            payload={"racy_variables": sorted(racy)},
             events_processed=self.detector.events_processed,
             summary=summary,
             native=races,
+            findings=races,
         )
 
 
@@ -420,17 +419,18 @@ class LocksetAnalysis(Analysis):
             kind=self.kind,
             mode=self.mode,
             verdict=verdict,
-            violations=[finding_dict(w) for w in report.warnings],
             payload={
                 "racy_variables": sorted(report.racy_variables),
+                # ``_value_`` is ``value`` without the enum property.
                 "final_states": {
-                    variable: state.value
+                    variable: state._value_
                     for variable, state in sorted(report.final_states.items())
                 },
             },
             events_processed=self.analyzer.events_processed,
             summary=summary,
             native=report,
+            findings=report.warnings,
         )
 
 

@@ -13,7 +13,9 @@ The module also owns the finding format. One layout per finding class
 serves both :func:`finding_dict`, the dict a report carries, and
 :func:`finding_json`, the same finding rendered straight to its compact
 JSON text — what the streaming service ships in FLUSH and REPORT frames
-without building a dict per finding.
+without building a dict per finding. A built-in analysis's report keeps
+its finding objects (:attr:`Report.findings`) and builds the
+``violations`` dicts only when something reads them.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ import json
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 #: Version tag stamped into every serialized session result.
 SCHEMA = "repro-report/1"
@@ -145,13 +149,21 @@ class Report:
             whole-trace analyses).
         verdict: ``True`` = clean/pass, ``False`` = findings, ``None`` =
             undecided (e.g. view serializability over the search bound).
-        violations: Normalized finding dicts, in detection order.
+        violations: Normalized finding dicts, in detection order. Given
+            ``findings`` and no ``violations``, built from the findings
+            (:func:`finding_dict`) on first read.
         payload: Analysis-specific JSON-able detail.
         events_processed: Events this analysis consumed.
         summary: One human-readable line for multi-analysis CLI output.
         native: The analysis's own result object (``CheckResult``,
             ``List[Race]``, ``TraceProfile``, …) — not serialized, but
             byte-identical to what the standalone entrypoint returns.
+        findings: The finding objects the violations describe, in the
+            same order, or ``None`` when the report was built from dicts
+            (whole-trace analyses, plugins, :func:`report_from_json`).
+            Lets a caller render the findings its own way without the
+            dicts (the streaming service splices their JSON text into
+            its REPORT frame).
     """
 
     analysis: str
@@ -163,6 +175,21 @@ class Report:
     events_processed: int = 0
     summary: str = ""
     native: Any = None
+    findings: Optional[Sequence[Any]] = field(
+        default=None, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        if self.findings is not None and not self.violations:
+            del self.violations  # built by __getattr__ when first read
+
+    def __getattr__(self, name: str) -> Any:
+        # Only reached for a missing attribute: the deferred violations.
+        findings = self.__dict__.get("findings")
+        if name != "violations" or findings is None:
+            raise AttributeError(name)
+        violations = self.violations = [finding_dict(f) for f in findings]
+        return violations
 
     @property
     def ok(self) -> bool:
@@ -175,14 +202,17 @@ class Report:
             return VERDICT_UNDECIDED
         return VERDICT_PASS if self.verdict else VERDICT_FAIL
 
-    def to_json(self) -> Dict[str, Any]:
+    def to_json(self, violations: Optional[List[Any]] = None) -> Dict[str, Any]:
+        """The schema's analysis entry; ``violations``, when given, is
+        the array to place there instead of :attr:`violations` (the
+        findings' JSON text, say), so the dicts are never built."""
         return {
             "analysis": self.analysis,
             "kind": self.kind,
             "mode": self.mode,
             "verdict": self.verdict_label,
             "events_processed": self.events_processed,
-            "violations": self.violations,
+            "violations": self.violations if violations is None else violations,
             "payload": self.payload,
             "summary": self.summary,
         }
@@ -240,7 +270,14 @@ class SessionResult:
     def __getitem__(self, analysis: str) -> Report:
         return self.reports[analysis]
 
-    def to_json(self) -> Dict[str, Any]:
+    def to_json(
+        self, violations: Optional[Sequence[Optional[List[Any]]]] = None
+    ) -> Dict[str, Any]:
+        """The ``repro-report/1`` document; ``violations``, when given,
+        holds one array per report, in order, for :meth:`Report.to_json`
+        (``None`` keeps that report's own)."""
+        if violations is None:
+            violations = [None] * len(self.reports)
         return {
             "schema": SCHEMA,
             "trace": {
@@ -260,7 +297,10 @@ class SessionResult:
                 ),
             },
             "verdict": self.verdict_label,
-            "analyses": [report.to_json() for report in self.reports.values()],
+            "analyses": [
+                report.to_json(array)
+                for report, array in zip(self.reports.values(), violations)
+            ],
         }
 
     def __str__(self) -> str:

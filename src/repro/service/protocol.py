@@ -377,52 +377,102 @@ def decode_frame(
 
 
 class JSONRows(list):
-    """A JSON array whose elements are already rendered: a list of the
-    compact JSON texts of its items (the finding rows a FLUSH or CLOSE
-    drains).
+    """A JSON array whose items are already rendered: a list of compact
+    JSON texts, each the text of one item or of several consecutive
+    items joined by commas, never empty (the finding rows a FLUSH or
+    CLOSE drains, the ``violations`` arrays of a REPORT).
 
     :func:`encode_json` and :meth:`FrameEncoder.encode_json` place a
-    top-level value of this type into the payload as the array of its
-    rows, verbatim. Anywhere else it is a plain list of ``str``, which
-    is also what crosses a process shard's pipe.
+    value of this type, at any depth of dicts and lists, into the
+    payload as the array of its rows, verbatim. Anywhere else it is a
+    list of ``str``, which is also what crosses a process shard's pipe;
+    it compares equal to the list its text decodes to, so a document
+    carrying rows equals the same document as a client decodes it.
     """
 
     __slots__ = ()
 
+    def decoded(self) -> List[Any]:
+        """The items, decoded."""
+        return json.loads("[" + ",".join(self) + "]")
 
-_SEPARATORS = (",", ":")
+    def __eq__(self, other: object) -> bool:
+        if type(other) is JSONRows:
+            other = other.decoded()
+        elif not isinstance(other, list):
+            return NotImplemented
+        return self.decoded() == other
+
+    def __ne__(self, other: object) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+
+#: ``json.dumps(obj, separators=(",", ":"))`` without building a new
+#: ``JSONEncoder`` per call.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+#: The value types :func:`_has_rows` looks into.
+_NESTED = frozenset({dict, list, JSONRows})
 
 
 def _json_payload(obj: Dict[str, Any]) -> bytes:
     """``obj``'s compact JSON text as bytes, rendered rows spliced in.
     An object without rows (every OK frame, a zero-finding FLUSH) costs
-    one scan of its values on top of ``json.dumps``."""
-    for value in obj.values():
-        if type(value) is JSONRows and value:
-            return _spliced(obj).encode("utf-8")
-    return json.dumps(obj, separators=_SEPARATORS).encode("utf-8")
+    one scan of its values on top of the encoder."""
+    if not _has_rows(obj):
+        return _encode(obj).encode("utf-8")
+    out: List[str] = []
+    _splice(obj, out)
+    return "".join(out).encode("utf-8")
 
 
-def _spliced(obj: Dict[str, Any]) -> str:
-    """The JSON text of ``obj`` with each :class:`JSONRows` value decoded,
-    built by structure: the items around a rows value are encoded by
-    ``json.dumps`` in the dict's own key order, and the rows go between
-    them as one array. The encoded text is never searched."""
-    parts: List[str] = []
-    plain: Dict[Any, Any] = {}
-    for key, value in obj.items():
-        if type(value) is JSONRows:
-            if plain:
-                parts.append(json.dumps(plain, separators=_SEPARATORS)[1:-1])
-                plain = {}
-            # '{"key":null}' -> '"key":'
-            head = json.dumps({key: None}, separators=_SEPARATORS)[1:-5]
-            parts.append(head + "[" + ",".join(value) + "]")
+def _has_rows(value: Any) -> bool:
+    """Whether a non-empty :class:`JSONRows` sits anywhere in ``value``
+    (an empty one encodes as ``[]`` like any list)."""
+    kind = type(value)
+    if kind is dict:
+        value = value.values()
+    elif kind is not list:
+        return kind is JSONRows and len(value) > 0
+    for item in value:
+        if type(item) in _NESTED and _has_rows(item):
+            return True
+    return False
+
+
+def _splice(value: Any, out: List[str]) -> None:
+    """Append the JSON text of ``value``, which holds rows, to ``out``
+    with each :class:`JSONRows` in it decoded, built by structure: along
+    the path of dicts and lists that leads to rows, each run of items
+    without rows is encoded whole by the encoder, in the container's own
+    order, and the rows go between the runs as arrays. The encoded text
+    is never searched, and nothing is joined but the rows until the
+    caller's final join."""
+    if type(value) is JSONRows:
+        out += ("[", ",".join(value), "]")
+        return
+    is_dict = type(value) is dict
+    out.append("{" if is_dict else "[")
+    run: Any = {} if is_dict else []
+    for key, item in value.items() if is_dict else enumerate(value):
+        if type(item) in _NESTED and _has_rows(item):
+            if run:
+                out += (_encode(run)[1:-1], ",")
+                run = {} if is_dict else []
+            if is_dict:
+                out.append(_encode({key: None})[1:-5])  # '"key":'
+            _splice(item, out)
+            out.append(",")
+        elif is_dict:
+            run[key] = item
         else:
-            plain[key] = value
-    if plain:
-        parts.append(json.dumps(plain, separators=_SEPARATORS)[1:-1])
-    return "{" + ",".join(parts) + "}"
+            run.append(item)
+    if run:
+        out.append(_encode(run)[1:-1])
+    else:
+        out.pop()  # the last rows' comma
+    out.append("}" if is_dict else "]")
 
 
 def encode_json(ftype: int, obj: Dict[str, Any]) -> bytes:
@@ -537,7 +587,7 @@ def encode_handoff(meta: Dict[str, Any], blob: bytes) -> bytes:
     :class:`~repro.service.recovery.SessionCheckpoint` exactly as the
     spool stores it — a migration literally ships the spool entry.
     """
-    header = json.dumps(meta, separators=(",", ":")).encode("utf-8")
+    header = _encode(meta).encode("utf-8")
     return (
         _HANDOFF_META.pack(len(header))
         + header

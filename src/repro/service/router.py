@@ -452,8 +452,11 @@ class ShardWorker:
                 f"session {session_id!r} is out of sync at position "
                 f"{session.position}; re-send from there before CLOSE"
             )
-        report = session.report()
+        session.finish()
+        # Drain first: the report reuses the text of every finding the
+        # drains rendered.
         findings = session.drain_findings()
+        report = session.report()
         self._drop(session_id)
         self.sessions_closed.inc()
         return {"report": report, "findings": findings}

@@ -12,6 +12,12 @@ lifecycle) with what a long-running service additionally needs:
   (:func:`~repro.api.report.finding_json`, no dict per finding), which
   ``FLUSH`` and ``CLOSE`` ship as they are, while the stream is still
   running;
+* **render once** — each drain also keeps, per analysis, the findings'
+  text it rendered (comma-joined per batch), and :meth:`report` splices
+  that text into the report's ``violations`` arrays, rendering only the
+  findings no drain covered (report-only analyses such as lockset, and
+  whatever a thawed session's lost text covered). The text is never
+  pickled, so snapshots do not carry it;
 * **a checkpoint handle** — :meth:`to_bytes`/:meth:`from_bytes` freeze
   and thaw the complete analysis state (riding
   :func:`repro.core.snapshot.freeze`), which is what
@@ -38,10 +44,11 @@ trace. That equivalence is the service's correctness story.
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii
+from operator import is_
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..api.analysis import Analysis, CheckerAnalysis
-from ..api.report import SessionResult, finding_dict, finding_json
+from ..api.report import Report, SessionResult, finding_dict, finding_json
 from ..api.session import Session
 from ..core.snapshot import freeze, thaw, CheckpointError
 from ..obs import tracing
@@ -111,9 +118,16 @@ class StreamingSession:
     #: covers everything the journal held.
     _journal: Optional[List[Tuple[int, DeltaBatch]]] = None
 
+    #: Per analysis, the text the drains rendered as ``(start, end,
+    #: text)``: findings ``[start, end)`` of its list, comma-joined; None
+    #: until the first drain. Never pickled: a thawed session renders
+    #: what the lost text covered again at CLOSE.
+    _texts: Optional[List[List[Tuple[int, int, str]]]] = None
+
     def __getstate__(self) -> Dict[str, Any]:
         state = self.__dict__.copy()
         state.pop("_journal", None)
+        state.pop("_texts", None)
         return state
 
     # -- streaming ---------------------------------------------------------
@@ -210,8 +224,21 @@ class StreamingSession:
         return self.result
 
     def report(self) -> Dict[str, Any]:
-        """The final ``repro-report/1`` document (finishing if needed)."""
-        return self.finish().to_json()
+        """The final ``repro-report/1`` document (finishing if needed).
+
+        Each analysis's ``violations`` array whose report carries its
+        finding objects is a :class:`JSONRows` of the findings' JSON
+        text, reusing the text the drains kept and rendering the rest;
+        no finding dict is built. Drain first to cover the findings the
+        last batches surfaced."""
+        result = self.finish()
+        texts = self._texts or [[] for _ in self.session.analyses]
+        return result.to_json([
+            _violation_rows(report, _current_findings(analysis), kept)
+            for analysis, report, kept in zip(
+                self.session.analyses, result.reports.values(), texts
+            )
+        ])
 
     # -- finding delivery --------------------------------------------------
 
@@ -253,12 +280,17 @@ class StreamingSession:
             '{"analysis":%s,"finding":' % encode_basestring_ascii(name)
             for name in self.analysis_names
         ]
+        kept = self._texts
+        if kept is None:
+            kept = self._texts = [[] for _ in analyses]
         for i, start, end in self._segments[first:]:
-            head = heads[i]
-            rows += [
-                head + finding_json(f) + "}"
+            texts = [
+                finding_json(f)
                 for f in _current_findings(analyses[i])[start:end]
             ]
+            head = heads[i]
+            rows += [head + text + "}" for text in texts]
+            kept[i].append((start, end, ",".join(texts)))
         return rows
 
     # -- checkpointing -----------------------------------------------------
@@ -299,6 +331,31 @@ class StreamingSession:
                 "session checkpoint predates the packed service sweep"
             )
         return session
+
+
+def _violation_rows(
+    report: Report,
+    delivered: Sequence[Any],
+    kept: List[Tuple[int, int, str]],
+) -> Union[JSONRows, List[Dict[str, Any]]]:
+    """A report's ``violations`` array: its own dicts when it has no
+    finding objects, else their JSON text, taken from ``kept`` (the
+    drains' text of ``delivered``, the analysis's live list) only where
+    the report's findings begin with exactly the delivered objects."""
+    findings = report.findings
+    if findings is None:
+        return report.violations
+    rows = JSONRows()
+    at = 0
+    if kept and len(findings) >= len(delivered) and (
+        findings is delivered or all(map(is_, findings, delivered))
+    ):
+        for start, end, text in kept:
+            rows += map(finding_json, findings[at:start])
+            rows.append(text)
+            at = end
+    rows += map(finding_json, findings[at:])
+    return rows
 
 
 def _current_findings(analysis: Analysis) -> Sequence[Any]:
