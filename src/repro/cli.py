@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional, Sequence, Union
 
@@ -169,10 +170,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             shards=args.shards,
-            workers=args.workers,
             spool=args.spool,
             checkpoint_every=args.checkpoint_every,
-            queue_size=args.queue_size,
             read_timeout=args.read_timeout or None,
             cluster=args.cluster,
             join=args.join or (),
@@ -181,7 +180,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             vnodes=args.vnodes,
             gossip_interval=args.gossip_interval,
             suspect_after=args.suspect_after,
-            tenant_quota=args.tenant_quota,
             metrics_port=args.metrics_port,
         )
     except OSError as error:
@@ -215,9 +213,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     print(f"listening on {server.host}:{server.port}", flush=True)
     if args.ready_file:
-        from pathlib import Path as _Path
-
-        _Path(args.ready_file).write_text(f"{server.host} {server.port}\n")
+        # Write then rename: a script polling for the file never reads
+        # it half-written.
+        partial = f"{args.ready_file}.partial"
+        with open(partial, "w") as handle:
+            handle.write(f"{server.host} {server.port}\n")
+        os.replace(partial, args.ready_file)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -384,8 +385,6 @@ def _cmd_experiment_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment_show(args: argparse.Namespace) -> int:
-    import os
-
     run_dir = args.run
     if not os.path.isdir(run_dir):
         # A bare run id resolves under --out, matching `experiment list`.
@@ -415,8 +414,6 @@ def _cmd_experiment_show(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment_list(args: argparse.Namespace) -> int:
-    import os
-
     root = args.out
     if not os.path.isdir(root):
         print(f"no runs under {root}")
@@ -970,13 +967,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--shards", type=int, default=1,
-        help="share-nothing worker shards sessions hash across",
-    )
-    serve.add_argument(
-        "--workers", choices=("thread", "process"), default="thread",
-        help="shard workers: 'thread' (default) runs every shard "
-        "inline on the server's event loop; 'process' runs one OS "
-        "process per shard for parallel ingest and isolation",
+        help="share-nothing shards sessions hash across (each runs "
+        "inline on the server's event loop)",
     )
     serve.add_argument(
         "--spool", default=None, metavar="DIR",
@@ -986,12 +978,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--checkpoint-every", type=int, default=1000, metavar="N",
         help="auto-checkpoint each session every N events (with --spool)",
-    )
-    serve.add_argument(
-        "--queue-size", type=int, default=None, metavar="N",
-        help="per-shard inbox bound in batches (full = BUSY "
-        "backpressure; default 64); needs --workers process: in-loop "
-        "shards never queue, so their backpressure is TCP's",
     )
     serve.add_argument(
         "--ready-file", default=None, metavar="PATH",
@@ -1040,13 +1026,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--suspect-after", type=float, default=None, metavar="SECONDS",
         help="declare a silent peer dead after this long (default 4 "
         "gossip intervals) — the failover trigger",
-    )
-    serve.add_argument(
-        "--tenant-quota", type=int, default=None, metavar="N",
-        help="max inflight EVENTS batches per session before the "
-        "router sheds the tenant with a paced BUSY (default: no quota); "
-        "needs --workers process, the only shards that hold batches "
-        "inflight",
     )
     serve.add_argument(
         "--metrics-port", type=int, default=None, metavar="PORT",
@@ -1236,8 +1215,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cluster", action="store_true",
         help="run the netsim cluster matrix instead: an N-node ring "
         "under simulated time with a seeded schedule of partitions, "
-        "gossip chaos, gray failure and overload (same seed, same "
-        "fault trace)",
+        "gossip chaos and gray failure (same seed, same fault trace)",
     )
     chaos.add_argument(
         "--json", action="store_true",

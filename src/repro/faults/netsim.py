@@ -33,9 +33,8 @@ the invariants the cluster promises:
 
 :data:`CLUSTER_SCENARIOS` is the drill matrix behind
 ``repro chaos --cluster``: two-way and one-way partitions, gossip
-chaos, gray failure (a slow-but-alive node handed off early by the RTT
-suspicion score), and overload shedding (a tenant over its inflight
-quota answered with a paced ``BUSY``).
+chaos, and gray failure (a slow-but-alive node handed off early by the
+RTT suspicion score).
 """
 
 from __future__ import annotations
@@ -97,10 +96,7 @@ class NetSim:
         gossip_interval: Simulated seconds per round.
         suspect_after: Simulated seconds of silence before a death
             verdict (default: the coordinator's 4-interval rule).
-        tenant_quota: Per-tenant inflight batch quota on every node
-            (``None`` disables shedding; needs ``workers="process"``).
         shards: Shards per node.
-        workers: Shard kind on every node (``"thread"``: in-loop).
     """
 
     def __init__(
@@ -109,9 +105,7 @@ class NetSim:
         seed: int = DEFAULT_SEED,
         gossip_interval: float = SIM_GOSSIP_INTERVAL,
         suspect_after: Optional[float] = None,
-        tenant_quota: Optional[int] = None,
         shards: int = 1,
-        workers: str = "thread",
     ) -> None:
         if nodes < 2:
             raise ValueError("a network simulation needs at least 2 nodes")
@@ -127,9 +121,7 @@ class NetSim:
         self.suspect_rounds = max(
             1, int(round(self.suspect_after / gossip_interval))
         )
-        self.tenant_quota = tenant_quota
         self.shards = shards
-        self.workers = workers
         self.clock = SimClock()
         self.servers: Dict[str, Any] = {}
         self.rounds = 0
@@ -158,7 +150,6 @@ class NetSim:
             server = ServiceServer(
                 port=0,
                 shards=self.shards,
-                workers=self.workers,
                 spool=str(Path(self._root) / node_id),
                 checkpoint_every=4,
                 cluster=True,
@@ -166,7 +157,6 @@ class NetSim:
                 node_id=node_id,
                 gossip_interval=self.gossip_interval,
                 suspect_after=self.suspect_after,
-                tenant_quota=self.tenant_quota,
             )
             # Take the coordinator off the wall clock *before* it
             # starts: the harness owns both time and tick order.
@@ -503,81 +493,11 @@ def cluster_scenario_gray_failure(seed: int) -> ScenarioResult:
     )
 
 
-def cluster_scenario_overload_shed(seed: int) -> ScenarioResult:
-    """A tenant over its inflight quota is shed with a paced ``BUSY``
-    (``retry_ms`` hint, ``shed`` marker, counted in stats) — and the
-    stream still completes to the offline report once the pressure
-    clears."""
-    from ..service import BusyError, ServiceClient
-
-    spec = _zoo("paper-rho1")
-    base = _offline_doc(spec)
-    events = list(spec.trace())
-    checks = _Checks()
-    plan = FaultPlan(seed=seed)  # no faults: the overload is organic
-    quota = 2
-    # Only process shards hold batches inflight, so only they take a quota.
-    with NetSim(
-        nodes=2, seed=seed, tenant_quota=quota, workers="process"
-    ) as sim:
-        checks.expect(sim.converge() >= 0, "ring converged after boot")
-        session_id = "drill-net-shed"
-        sim.track(session_id)
-        client = sim.client()
-        half = max(4, len(events) // 2)
-        info = client.submit_trace(
-            events, _ANALYSES, name=spec.name, batch=4,
-            session_id=session_id, stop_after=half, checkpoint=True,
-            deadline=DRILL_DEADLINE,
-        )
-        checks.expect(bool(info.get("open")), "first half streamed")
-        host = sim.find_host(session_id)
-        checks.expect(host is not None, "the session has a live host")
-        router = sim.servers[host].router
-        # Model a backed-up tenant deterministically: pin its inflight
-        # count at the quota, then feed once more.
-        with router._inflight_lock:
-            router._inflight[session_id] = quota
-        try:
-            try:
-                router.feed(session_id, [], base=half)
-                checks.expect(False, "the over-quota feed was shed")
-            except BusyError as error:
-                checks.expect(getattr(error, "shed", False) is True,
-                              "the BUSY is marked as load shedding")
-                checks.expect(
-                    (getattr(error, "retry_ms", None) or 0) >= 25,
-                    "the BUSY carries a retry_after pacing hint",
-                )
-        finally:
-            with router._inflight_lock:
-                router._inflight.pop(session_id, None)
-        checks.expect(router.shed_total >= 1, "the router counted the shed")
-        doc = client.submit_trace(
-            events, _ANALYSES, name=spec.name, batch=4,
-            session_id=session_id, resume=True, deadline=DRILL_DEADLINE,
-        )
-        _agrees(checks, doc, base, "report after the pressure cleared")
-        server = sim.servers[host]
-        with ServiceClient(server.host, server.port,
-                           deadline=DRILL_DEADLINE) as stats_client:
-            stats = stats_client.stats()
-        checks.expect(stats.get("shed", 0) >= 1, "stats expose the shed count")
-        checks.expect(sim.violations == [], "zero double-owner windows")
-        checks.expect(sim.tick_errors == [], "no tick ever raised")
-    return _result(
-        "overload-shed", seed, plan, "recovered", checks,
-        "over-quota tenant shed with a paced BUSY; stream completed "
-        "once the pressure cleared",
-    )
-
-
 CLUSTER_SCENARIOS = {
     "partition-two-way": cluster_scenario_partition_two_way,
     "partition-one-way": cluster_scenario_partition_one_way,
     "gossip-chaos": cluster_scenario_gossip_chaos,
     "gray-failure": cluster_scenario_gray_failure,
-    "overload-shed": cluster_scenario_overload_shed,
 }
 
 

@@ -45,7 +45,8 @@ SITES: Dict[str, tuple] = {
     "spool.write": ("torn", "corrupt", "enospc"),
     # a shard worker about to process one EVENTS batch (ShardWorker)
     "shard.batch": ("crash",),
-    # the router about to enqueue a batch on a shard inbox
+    # the router about to hand a batch to its shard (the name predates
+    # in-loop shards; plans spell it, so it stays)
     "shard.inbox": ("stall",),
     # an api.Session.feed sweep about to step its analyses
     "analysis.step": ("raise",),

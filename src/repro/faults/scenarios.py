@@ -311,7 +311,7 @@ def scenario_corrupt_spool(seed: int) -> ScenarioResult:
 
 
 def scenario_inbox_stall(seed: int) -> ScenarioResult:
-    """A shard inbox stalls (backpressure): the server answers BUSY and
+    """A shard stalls (backpressure): the server answers BUSY and
     the client's bounded jittered backoff rides it out. The report
     equals offline and the server counted its BUSY replies."""
     from ..service import ServiceClient, ServiceServer, submit_trace

@@ -6,10 +6,9 @@ Two layers live here:
   :class:`Histogram` and the :class:`MetricsRegistry` that owns them.
   The service's hand-rolled stat ints (shard workers, wire servers, the
   cluster coordinator) are instances of these; each component keeps its
-  own registry because shard workers are pickled into worker processes,
-  so instruments carry no locks — every instrument is mutated only under
-  its owner's existing synchronization (a shard's single thread, the
-  server's counter lock, the coordinator's lock).
+  own registry, and instruments carry no locks — every instrument is
+  mutated only under its owner's existing synchronization (a shard's
+  lock, the server's counter lock, the coordinator's lock).
 * **Exposition** — the JSON ``service-stats`` document is stamped
   ``schema: repro-stats/1``; :func:`stats_to_prom` renders that same
   document as Prometheus text exposition, and :data:`METRICS_CATALOG`
@@ -122,11 +121,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """A named bag of instruments; idempotent factories by name.
-
-    Registries are plain picklable objects so a shard worker's registry
-    survives the trip into a process shard.
-    """
+    """A named bag of instruments; idempotent factories by name."""
 
     def __init__(self) -> None:
         self._metrics: Dict[str, Any] = {}
@@ -215,7 +210,7 @@ METRICS_CATALOG: Tuple[MetricSpec, ...] = (
     MetricSpec("repro_shard_lenient_restarts_total", "counter",
                "Sessions restarted from zero under lenient recovery", ("shard",)),
     MetricSpec("repro_shard_queue_depth", "gauge",
-               "Requests waiting in the shard mailbox", ("shard",)),
+               "Requests queued at the shard (always 0: shards run inline)", ("shard",)),
     MetricSpec("repro_shard_checkpoint_lag_events", "gauge",
                "Max events past last checkpoint across open sessions", ("shard",)),
     MetricSpec("repro_shard_checkpoint_lag", "histogram",
@@ -223,9 +218,9 @@ METRICS_CATALOG: Tuple[MetricSpec, ...] = (
                required=False),
     # Router-wide
     MetricSpec("repro_router_shed_total", "counter",
-               "Submissions shed by per-tenant quota"),
+               "Submissions shed (always 0: nothing sheds)"),
     MetricSpec("repro_router_shard_restarts_total", "counter",
-               "Shard processes restarted after a crash"),
+               "Shards restarted after a worker crash"),
     MetricSpec("repro_router_uptime_seconds", "gauge",
                "Seconds since the slowest-started shard came up"),
     # Per-tenant (labels: tenant) — emitted once a tenant has findings.
@@ -243,7 +238,7 @@ METRICS_CATALOG: Tuple[MetricSpec, ...] = (
     MetricSpec("repro_server_fenced_total", "counter",
                "FENCED replies (stale membership epoch)", ("backend",)),
     MetricSpec("repro_server_shed_total", "counter",
-               "BUSY replies flagged shed=true", ("backend",)),
+               "BUSY replies flagged shed=true (always 0)", ("backend",)),
     # Event-loop gauges
     MetricSpec("repro_server_open_connections", "gauge",
                "Currently open connections", ("backend",)),

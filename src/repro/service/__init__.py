@@ -13,11 +13,9 @@ turns the one-pass :mod:`repro.api` session engine into that service:
 * :mod:`~repro.service.session` — :class:`StreamingSession`, one live
   tenant: incremental analyses state, a monotonic violation log, a
   checkpoint handle;
-* :mod:`~repro.service.router` — shard-per-worker routing: sessions
-  hash to shards, shards share nothing (by default each runs inline on
-  the server's event loop; process shards' bounded inbox queues give
-  backpressure, ``BUSY``), per-shard metrics aggregate into
-  ``stats()``;
+* :mod:`~repro.service.router` — sharded routing: sessions hash to
+  shards, shards share nothing and each runs inline on the server's
+  event loop, per-shard metrics aggregate into ``stats()``;
 * :mod:`~repro.service.server` / :mod:`~repro.service.client` — the
   TCP daemon behind ``repro serve`` and the client SDK behind
   ``repro submit`` (plus :class:`~repro.service.client.RemoteChecker`,

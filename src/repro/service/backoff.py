@@ -81,13 +81,12 @@ class Backoff:
         """Draw the next sleep, honoring a server pacing hint.
 
         ``hint_ms`` is the ``retry_ms`` field riding a ``BUSY`` frame —
-        the server's own estimate of when retrying might succeed (an
-        overloaded shard, a shed tenant). The draw is the larger of the
-        ordinary :meth:`next` value and the hint jittered over
-        ``(hint/2, hint]``: the schedule still advances (so pacing
-        keeps growing if the server stays busy), but the server's floor
-        wins when it asks for more patience than the schedule has
-        reached.
+        the server's own estimate of when retrying might succeed. The
+        draw is the larger of the ordinary :meth:`next` value and the
+        hint jittered over ``(hint/2, hint]``: the schedule still
+        advances (so pacing keeps growing if the server stays busy),
+        but the server's floor wins when it asks for more patience than
+        the schedule has reached.
         """
         delay = self.next()
         if hint_ms:

@@ -198,10 +198,9 @@ class ServiceClient:
             raise ServiceUnreachable(
                 f"cannot connect to {host}:{port}: {exc}"
             ) from exc
-        # The I/O timeout must outlive the router's REPLY_TIMEOUT
-        # (600s): a barrier command (CLOSE behind a deep inbox) is
-        # already enqueued server-side, and hanging up early would
-        # orphan the final report while the server still executes it.
+        # The I/O timeout is generous: a CLOSE on a long session builds
+        # the whole report before it answers, and hanging up early
+        # would orphan that report while the server still works on it.
         self._sock.settimeout(timeout)
         self._rfile = self._sock.makefile("rb")
         # All reply reads go through the shared sans-IO codec — the
@@ -268,8 +267,8 @@ class ServiceClient:
             ftype, payload = reply
             obj = protocol.decode_json(payload)
             if ftype == FrameType.BUSY:
-                # A shed/overloaded server rides a retry_ms pacing hint
-                # on the frame; honor it (jittered) as the sleep floor.
+                # A busy server rides a retry_ms pacing hint on the
+                # frame; honor it (jittered) as the sleep floor.
                 self.deadline.sleep(
                     backoff.paced(obj.get("retry_ms")),
                     "backing off from BUSY",

@@ -5,30 +5,25 @@ semantics — HELLO/EVENTS/FLUSH/CHECKPOINT/CLOSE/STATS dispatch, the
 typed error-to-``ERROR``-frame mapping, and the ``wire.reply`` /
 ``server.events`` fault sites. It never touches a socket: bytes go in
 through :meth:`WireConnection.receive_bytes`, encoded reply frames
-come out through :attr:`WireConnection.outbox`, and shard replies are
-:class:`~repro.service.router._Future`\\ s the transport waits on. That
-inversion is what lets the ``selectors`` event loop in
+come out through :attr:`WireConnection.outbox`, and every shard
+command is a direct router call answered before :meth:`pump` moves
+on. That inversion is what lets the ``selectors`` event loop in
 :mod:`repro.service.server` hold thousands of connections on one
 thread, and lets tests drive the protocol without a socket.
 
 The driving contract::
 
     wire.receive_bytes(chunk)          # as bytes arrive
-    futures = wire.pump()              # advance the state machine
-    # futures is None  -> idle: write wire.outbox, read more bytes
-    #                     (wire.more: frames are still buffered, so
-    #                     pump() again after serving other sockets)
-    # futures is [...] -> a process shard owes replies: subscribe a
-    #                     wakeup, keep serving other sockets, then
-    #                     pump() again (in-loop shards settle every
-    #                     future before pump() sees it)
+    wire.pump()                        # advance the state machine
+    # then write wire.outbox and read more bytes; if wire.more is
+    # set, frames are still buffered: pump() again after serving
+    # other sockets
     # wire.reset             -> drop the socket, sending nothing
     # wire.close_after_send  -> close once outbox is flushed
 
 A connection is *strict request/response* (every client frame earns
-exactly one reply), so at most one shard command is ever in flight per
-connection; pipelined frames queue inside the decoder until the
-pending reply lands.
+exactly one reply); pipelined frames queue inside the decoder until
+the loop pumps them.
 """
 
 from __future__ import annotations
@@ -51,14 +46,15 @@ from .router import (
 
 log = logging.getLogger("repro.service")
 
+#: The pacing hint a ``BUSY`` reply carries (milliseconds).
+BUSY_RETRY_MS = 50
+
 
 class WireConnection:
     """One client connection's protocol state, free of I/O.
 
     Args:
-        router: The shard router commands are submitted to (always via
-            the non-blocking ``submit_*`` surface — a full shard inbox
-            is an immediate ``BUSY`` frame).
+        router: The shard router every command is called on.
         count: ``count(name)`` server-counter hook (busy_replies,
             read_timeouts, wire_errors).
         counters: Zero-arg callable returning the server-level counter
@@ -104,7 +100,6 @@ class WireConnection:
         self.close_after_send = False
         #: Drop the transport NOW, without writing (injected reset).
         self.reset = False
-        self._pending = None  # (futures, finish) of the in-flight command
         #: The last :meth:`pump` stopped after an EVENTS frame with more
         #: bytes buffered: pump again without waiting for a read.
         self.more = False
@@ -119,43 +114,32 @@ class WireConnection:
         """Feed one received chunk (any bytes-like, any split)."""
         self.frames.feed(data)
 
-    def pump(self) -> Optional[List[Any]]:
+    def pump(self) -> None:
         """Advance: decode and dispatch buffered frames, stopping after
         the first EVENTS frame.
 
-        Returns ``None`` when idle (flush :attr:`outbox`, read more
-        bytes; if :attr:`more` is set, pump again first) or the list of
-        unresolved shard futures the in-flight command is waiting on
-        (wait for them, then ``pump()`` again). Never raises: every
+        Afterwards flush :attr:`outbox` and read more bytes; if
+        :attr:`more` is set, pump again first. Never raises: every
         failure becomes a reply frame and/or a close flag.
         """
         self.more = False
         while not self.closing:
-            if self._pending is not None:
-                futures, finish = self._pending
-                waiting = [f for f in futures if not f.done()]
-                if waiting:
-                    return waiting
-                self._pending = None
-                self._guard(finish)
-                continue
             try:
                 frame = self.frames.next_frame()
             except protocol.WireError as error:
                 self.on_wire_error(error)
-                return None
+                return
             if frame is None:
-                return None
+                return
             ftype, payload = frame
-            self._guard(lambda: self._dispatch(ftype, payload))
+            self._guard(ftype, payload)
             if ftype == FrameType.EVENTS and self.frames.buffered:
-                # An in-loop shard has just fed the batch on the loop
-                # thread: let other connections in before the next
-                # frame a pipelining client has buffered here, so one
-                # turn of the loop feeds at most one frame of it.
+                # The shard has just fed the batch on the loop thread:
+                # let other connections in before the next frame a
+                # pipelining client has buffered here, so one turn of
+                # the loop feeds at most one frame of it.
                 self.more = True
-                return None
-        return None
+                return
 
     def on_wire_error(self, error: Exception) -> None:
         """Framing broke: answer once, then drop the connection — the
@@ -213,25 +197,16 @@ class WireConnection:
     def _error(self, code: str, message: str) -> None:
         self._send(FrameType.ERROR, {"code": code, "message": message})
 
-    def _guard(self, step: Callable[[], None]) -> None:
-        """Run one dispatch/finish step under the shared typed-error
-        mapping — the single place wire semantics assign blame."""
+    def _guard(self, ftype: int, payload: bytes) -> None:
+        """Dispatch one frame under the shared typed-error mapping —
+        the single place wire semantics assign blame."""
         try:
-            step()
+            self._dispatch(ftype, payload)
         except protocol.WireError as error:
             self.on_wire_error(error)
-        except BusyError as error:
+        except BusyError:
             self._count("busy_replies")
-            payload: Dict[str, Any] = {
-                "retry_ms": getattr(error, "retry_ms", None) or 50
-            }
-            if getattr(error, "shed", False):
-                # Per-tenant overload shedding, not a full shard inbox:
-                # counted separately so operators can tell a hot tenant
-                # from a saturated shard.
-                self._count("shed")
-                payload["shed"] = True
-            self._send(FrameType.BUSY, payload)
+            self._send(FrameType.BUSY, {"retry_ms": BUSY_RETRY_MS})
         except SessionNotFound as error:
             self._error("unknown-session", str(error))
         except SessionQuarantined as error:
@@ -284,9 +259,8 @@ class WireConnection:
         """Serve the cluster control frames; True when ``ftype`` was one.
 
         JOIN/RING/OWNED are quick in-memory merges answered inline;
-        HANDOFF with a live session goes through the router's
-        non-blocking import (a thaw can be heavy — never stall the
-        event loop on it), a replica HANDOFF is one spool write.
+        HANDOFF with a live session is a router import (one thaw), a
+        replica HANDOFF is one spool write.
         """
         if ftype not in (
             FrameType.JOIN, FrameType.RING,
@@ -318,14 +292,9 @@ class WireConnection:
                 )
                 return True
             if meta.get("live"):
-                future = self.router.submit_import(session_id, blob)
-
-                def finish() -> None:
-                    info = future.result()
-                    cluster.note_import(len(blob))
-                    self._send(FrameType.OWNED, info)
-
-                self._pending = ([future], finish)
+                info = self.router.import_session(session_id, blob)
+                cluster.note_import(len(blob))
+                self._send(FrameType.OWNED, info)
             else:
                 self._send(
                     FrameType.OWNED, cluster.store_replica(session_id, blob)
@@ -383,38 +352,28 @@ class WireConnection:
                 elif not self.cluster.owns(hello["session"]):
                     self._redirect(hello["session"])
                     return
-            future = router.submit_open(
+            info = router.open_session(
                 hello["analyses"],
                 name=hello["name"],
                 session_id=hello["session"],
                 resume=hello["resume"],
                 lenient=hello["lenient"],
             )
-
-            def finish() -> None:
-                info = future.result()
-                self.session_id = info["session"]
-                self.delta = protocol.DeltaDecoder()
-                self._next_base = 0
-                info["protocol"] = protocol.PROTOCOL
-                self._send(FrameType.OK, info)
-
-            self._pending = ([future], finish)
+            self.session_id = info["session"]
+            self.delta = protocol.DeltaDecoder()
+            self._next_base = 0
+            info["protocol"] = protocol.PROTOCOL
+            self._send(FrameType.OK, info)
             return
         if ftype == FrameType.STATS:
-            pairs = router.submit_stats()
-
-            def finish() -> None:
-                stats = router.finish_stats(pairs)
-                # The router stamps the version; keep the guarantee
-                # even for router doubles that predate repro-stats/1.
-                stats.setdefault("schema", STATS_SCHEMA)
-                stats["server"] = self._counters()
-                if self.cluster is not None:
-                    stats["cluster"] = self.cluster.stats()
-                self._send(FrameType.OK, {"stats": stats})
-
-            self._pending = ([future for _shard, future in pairs], finish)
+            stats = router.stats()
+            # The router stamps the version; keep the guarantee even
+            # for router doubles that predate repro-stats/1.
+            stats.setdefault("schema", STATS_SCHEMA)
+            stats["server"] = self._counters()
+            if self.cluster is not None:
+                stats["cluster"] = self.cluster.stats()
+            self._send(FrameType.OK, {"stats": stats})
             return
         if self.session_id is None:
             self._error("no-session", "send HELLO first")
@@ -454,44 +413,27 @@ class WireConnection:
                 router.feed(self.session_id, batch, base=base)
             self._send(FrameType.OK, {"queued": queued})
         elif ftype == FrameType.FLUSH:
-            future = router.submit_flush(self.session_id)
-
-            def finish() -> None:
-                info = future.result()
-                if info["error"] is not None:
-                    log.error(
-                        "flush surfaced session error %s code=%s: %s",
-                        self._where(), info.get("error_code"), info["error"],
-                    )
-                    self._error(
-                        info.get("error_code") or "session", info["error"]
-                    )
-                elif info["findings"]:
-                    self._send(FrameType.VIOLATION, info)
-                else:
-                    self._send(FrameType.OK, info)
-
-            self._pending = ([future], finish)
+            info = router.flush(self.session_id)
+            if info["error"] is not None:
+                log.error(
+                    "flush surfaced session error %s code=%s: %s",
+                    self._where(), info.get("error_code"), info["error"],
+                )
+                self._error(info.get("error_code") or "session", info["error"])
+            elif info["findings"]:
+                self._send(FrameType.VIOLATION, info)
+            else:
+                self._send(FrameType.OK, info)
         elif ftype == FrameType.CHECKPOINT:
-            future = router.submit_checkpoint(self.session_id)
-            self._pending = (
-                [future],
-                lambda: self._send(FrameType.OK, future.result()),
-            )
+            self._send(FrameType.OK, router.checkpoint(self.session_id))
         elif ftype == FrameType.CLOSE:
-            future = router.submit_close(self.session_id)
-            closing_id = self.session_id
-
-            def finish() -> None:
-                info = future.result()
-                self.session_id = None
-                if self.cluster is not None:
-                    # Queue the successor's replica-drop notice so a
-                    # finished session can never be resurrected by a
-                    # later failover adoption.
-                    self.cluster.session_closed(closing_id)
-                self._send(FrameType.REPORT, info)
-
-            self._pending = ([future], finish)
+            info = router.close(self.session_id)
+            closing_id, self.session_id = self.session_id, None
+            if self.cluster is not None:
+                # Queue the successor's replica-drop notice so a
+                # finished session can never be resurrected by a later
+                # failover adoption.
+                self.cluster.session_closed(closing_id)
+            self._send(FrameType.REPORT, info)
         else:
             self._error("bad-frame", f"unexpected frame type {ftype}")

@@ -385,9 +385,9 @@ class JSONRows(list):
     :func:`encode_json` and :meth:`FrameEncoder.encode_json` place a
     value of this type, at any depth of dicts and lists, into the
     payload as the array of its rows, verbatim. Anywhere else it is a
-    list of ``str``, which is also what crosses a process shard's pipe;
-    it compares equal to the list its text decodes to, so a document
-    carrying rows equals the same document as a client decodes it.
+    list of ``str``; it compares equal to the list its text decodes
+    to, so a document carrying rows equals the same document as a
+    client decodes it.
     """
 
     __slots__ = ()

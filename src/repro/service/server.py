@@ -10,11 +10,9 @@ machine; the loop only moves bytes:
   peer's reply queue is over the high-water mark;
 * a coarse **deadline wheel** instead of per-socket ``settimeout``
   (O(1) arm per read, lazy reinsertion on the expiry sweep);
-* default shards run inline on the loop (an EVENTS batch is applied
-  before its ``OK``, a FLUSH is answered without a wake-up, and a
-  connection gets one EVENTS frame per loop turn); only process
-  shards' replies resolve through future subscriptions that poke a
-  self-pipe, so the loop never waits on another thread's reply.
+* shards run inline on the loop: an EVENTS batch is applied before
+  its ``OK``, a FLUSH is answered in the same turn, and a connection
+  gets one EVENTS frame per loop turn.
 
 Idle connections cost one fd and a few KB, which is what lets one
 server hold ten thousand sessions.
@@ -30,7 +28,8 @@ by exactly one server frame (``OK``/``VIOLATION``/``REPORT``/
 * an **application error** (unknown analysis, unknown session, a
   quarantined session, a crashed shard) is answered with a typed
   ``ERROR`` and the connection stays usable;
-* ``BUSY`` signals shard backpressure; clients retry after a pause.
+* ``BUSY`` signals backpressure (the injected ``shard.inbox`` stall);
+  clients retry after a pause.
 
 The ``STATS`` reply merges the server's counters and event-loop gauges
 (open connections, ring-buffer high water, write-queue depth/high
@@ -45,7 +44,6 @@ make idempotent). Both live in the connection core.
 
 from __future__ import annotations
 
-import collections
 import logging
 import selectors
 import socket
@@ -74,8 +72,6 @@ _SERVER_COUNTERS = (
      "REDIRECT replies (cluster ownership elsewhere)"),
     ("fenced", "repro_server_fenced_total",
      "FENCED replies (stale membership epoch)"),
-    ("shed", "repro_server_shed_total",
-     "BUSY replies flagged shed=true"),
 )
 
 #: Default per-connection read timeout (seconds). Generous — it only
@@ -160,15 +156,11 @@ class _AsyncServer:
     """The single-threaded ``selectors`` front end.
 
     One loop owns every socket. Reads and writes are non-blocking and
-    shard commands go through the router's ``submit`` surface. A
-    default (in-loop) shard runs the command right there; a connection
-    gets one EVENTS frame per loop turn (the rest of what a pipelining
-    client sent waits in its backlog), so a turn's stall is one frame's
-    feed or one control command per ready connection (``loop_lag_ms``
-    reports the worst). A process
-    shard's reply future wakes the loop through a self-pipe: its
-    collector thread appends the connection to a ready deque and sends
-    one byte.
+    every shard command runs right there, as a direct router call. A
+    connection gets one EVENTS frame per loop turn (the rest of what a
+    pipelining client sent waits in its backlog), so a turn's stall is
+    one frame's feed or one control command per ready connection
+    (``loop_lag_ms`` reports the worst).
     """
 
     def __init__(
@@ -186,13 +178,11 @@ class _AsyncServer:
         self.server_address = self._listen.getsockname()
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._listen, selectors.EVENT_READ, None)
-        # Self-pipe: process shards' collector threads resolving
-        # futures (and shutdown) poke the loop.
+        # Self-pipe: shutdown() from another thread wakes the loop.
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
         self._wake_w.setblocking(False)
         self._selector.register(self._wake_r, selectors.EVENT_READ, "wake")
-        self._ready: collections.deque = collections.deque()
         # Connections whose pump stopped with frames still buffered
         # (``wire.more``), by fd: each is pumped once per loop turn.
         self._backlog: Dict[int, _AsyncConn] = {}
@@ -243,6 +233,8 @@ class _AsyncServer:
             write_queue += len(conn.wbuf)
         self.write_queue_hwm = max(self.write_queue_hwm, write_queue)
         out["backend"] = "async"
+        # repro-stats/1 keeps its shape: no reply is ever shed.
+        out["shed"] = 0
         out["open_connections"] = len(self._conns)
         out["connections_total"] = self.connections_total
         out["ring_high_water"] = ring
@@ -275,7 +267,7 @@ class _AsyncServer:
                     if key.data is None:
                         self._accept()
                     elif key.data == "wake":
-                        self._drain_wakeups()
+                        continue  # shutdown(): the loop test sees it
                     else:
                         conn = key.data
                         if mask & selectors.EVENT_WRITE and not conn.closed:
@@ -289,10 +281,6 @@ class _AsyncServer:
                             # its socket (TCP backpressure) until the
                             # frames it already sent are served.
                             self._read_some(conn)
-                while self._ready:
-                    conn = self._ready.popleft()
-                    if not conn.closed:
-                        self._pump(conn)
                 if self.read_timeout:
                     now = time.monotonic()
                     for conn in self._wheel.sweep(now):
@@ -374,37 +362,10 @@ class _AsyncServer:
         self._pump(conn)
 
     def _pump(self, conn: _AsyncConn) -> None:
-        futures = conn.wire.pump()
-        if futures:
-            wake = self._waker(conn)
-            for future in futures:
-                future.subscribe(wake)
-        elif conn.wire.more:
+        conn.wire.pump()
+        if conn.wire.more:
             self._backlog[conn.fd] = conn
         self._flush(conn)
-
-    def _waker(self, conn: _AsyncConn):
-        def wake(_future: Any) -> None:
-            # Runs on a process shard's collector thread (or inline
-            # on the loop thread if the future is already done): hand
-            # the connection back to the loop and poke the self-pipe.
-            self._ready.append(conn)
-            try:
-                self._wake_w.send(b"\x01")
-            except OSError:
-                pass
-
-        return wake
-
-    def _drain_wakeups(self) -> None:
-        while True:
-            try:
-                if not self._wake_r.recv(4096):
-                    return
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
-                return
 
     def _flush(self, conn: _AsyncConn) -> None:
         wire = conn.wire
@@ -546,16 +507,13 @@ class ServiceServer:
     Args:
         host/port: Bind address (``port=0`` picks a free port; read the
             chosen one from :attr:`port`).
-        shards: Worker shards (sessions hash across them).
-        workers: ``"thread"`` (default: shards run inline on the event
-            loop) or ``"process"`` shards.
+        shards: Shards (sessions hash across them; each runs inline on
+            the event loop).
         spool: Checkpoint spool directory — enables recovery; on
             construction, sessions spooled by a previous incarnation
             are re-opened at their checkpointed positions (corrupt
             entries are quarantined to ``*.bad``; see :attr:`salvaged`).
         checkpoint_every: Auto-checkpoint interval in events.
-        queue_size: Process-shard inbox bound (batches) before ``BUSY``
-            (``None``: the router's default; ``workers="process"`` only).
         read_timeout: Per-connection read deadline in seconds
             (``None`` disables; default :data:`DEFAULT_READ_TIMEOUT`).
         cluster: Join the multi-node protocol even without peers (a
@@ -568,9 +526,6 @@ class ServiceServer:
         vnodes: Virtual points this node contributes to the ring.
         gossip_interval: Seconds between cluster gossip ticks.
         suspect_after: Seconds of peer silence before declaring it dead.
-        tenant_quota: Max inflight EVENTS batches per session before
-            the router sheds with a paced ``BUSY`` (``None`` disables;
-            ``workers="process"`` only).
         metrics_port: Also serve Prometheus text on
             ``http://host:metrics_port/metrics`` (``0`` picks a free
             port — read it from :attr:`metrics_port`; ``None``
@@ -582,10 +537,8 @@ class ServiceServer:
         host: str = "127.0.0.1",
         port: int = 0,
         shards: int = 1,
-        workers: str = "thread",
         spool: Union[str, Path, None] = None,
         checkpoint_every: Optional[int] = 1000,
-        queue_size: Optional[int] = None,
         read_timeout: Optional[float] = DEFAULT_READ_TIMEOUT,
         cluster: bool = False,
         join: Sequence[str] = (),
@@ -594,17 +547,13 @@ class ServiceServer:
         vnodes: Optional[int] = None,
         gossip_interval: Optional[float] = None,
         suspect_after: Optional[float] = None,
-        tenant_quota: Optional[int] = None,
         metrics_port: Optional[int] = None,
     ) -> None:
         recovery = RecoveryManager(spool) if spool is not None else None
         self.router = Router(
             shards=shards,
-            workers=workers,
-            queue_size=queue_size,
             recovery=recovery,
             checkpoint_every=checkpoint_every,
-            tenant_quota=tenant_quota,
         )
         self.recovered = self.router.recover()
         #: Spool entries quarantined during recovery (dicts with

@@ -172,16 +172,6 @@ class StubCluster:
         return {}
 
 
-def drive(conn, timeout=10.0):
-    """Pump a sans-IO connection until idle, waiting on shard futures."""
-    while True:
-        waiting = conn.pump()
-        if not waiting:
-            return
-        for future in waiting:
-            future.join(timeout)
-
-
 def replies(conn):
     """Decode every reply frame the connection has queued so far."""
     decoder = FrameDecoder()
@@ -212,7 +202,7 @@ def test_events_behind_pinned_epoch_is_fenced():
             "protocol": PROTOCOL, "analyses": ["races"],
             "session": "pin-1", "epoch": 3,
         }))
-        drive(conn)
+        conn.pump()
         assert conn.pinned_epoch == 3
         assert replies(conn)[-1][0] == FrameType.OK
         # The node's view regresses behind the pin (stale partition
@@ -221,7 +211,7 @@ def test_events_behind_pinned_epoch_is_fenced():
         conn.receive_bytes(
             encode_frame(FrameType.EVENTS, DeltaEncoder().encode([], base=0))
         )
-        drive(conn)
+        conn.pump()
         ftype, obj = replies(conn)[-1]
         assert ftype == FrameType.FENCED
         assert obj["code"] == "fenced"
@@ -242,7 +232,7 @@ def test_hello_behind_epoch_is_fenced_sans_io():
             "protocol": PROTOCOL, "analyses": ["races"],
             "session": "pin-2", "epoch": 5,
         }))
-        drive(conn)
+        conn.pump()
         ftype, obj = replies(conn)[-1]
         assert ftype == FrameType.FENCED
         assert obj["epoch"] == 2

@@ -17,7 +17,6 @@ has to keep:
   text its drains rendered and builds no finding dict, a thawed session
   renders again only what its lost text covered, and the REPORT bytes
   stay those of the offline report;
-* rows cross a process shard's pipe;
 * ``Race`` and ``LocksetWarning`` keep their dataclass behaviour with
   their explicit ``__init__``, and a session frozen before it thaws.
 """
@@ -320,15 +319,6 @@ PINNED_REPORT = (
 )
 
 
-def _drive(conn):
-    while True:
-        waiting = conn.pump()
-        if not waiting:
-            return
-        for future in waiting:
-            future.join(10.0)
-
-
 def _take(conn):
     decoder = FrameDecoder()
     for chunk in conn.outbox:
@@ -351,14 +341,14 @@ def test_reply_frames_are_pinned():
             "protocol": protocol.PROTOCOL, "analyses": ANALYSES,
             "session": "pinned",
         }))
-        _drive(conn)
+        conn.pump()
         _take(conn)
         flushes = hashlib.sha256()
         kinds = []
 
         def flush():
             conn.receive_bytes(protocol.encode_frame(FrameType.FLUSH))
-            _drive(conn)
+            conn.pump()
             for ftype, payload in _take(conn):
                 kinds.append(ftype)
                 flushes.update(protocol.encode_frame(ftype, payload))
@@ -370,12 +360,12 @@ def test_reply_frames_are_pinned():
             conn.receive_bytes(protocol.encode_frame(
                 FrameType.EVENTS, encoder.encode(chunk, base=lo)
             ))
-            _drive(conn)
+            conn.pump()
             _take(conn)
             if k % 2 == 0:
                 flush()
         conn.receive_bytes(protocol.encode_frame(FrameType.CLOSE))
-        _drive(conn)
+        conn.pump()
         (ftype, payload), = _take(conn)
     finally:
         router.shutdown()
@@ -430,23 +420,23 @@ def test_a_streamed_session_renders_each_finding_once(monkeypatch):
             "protocol": protocol.PROTOCOL, "analyses": ANALYSES,
             "session": "once",
         }))
-        _drive(conn)
+        conn.pump()
         _take(conn)
         encoder = protocol.DeltaEncoder()
         for k, lo in enumerate(range(0, len(events), 512)):
             conn.receive_bytes(protocol.encode_frame(
                 FrameType.EVENTS, encoder.encode(events[lo : lo + 512], base=lo)
             ))
-            _drive(conn)
+            conn.pump()
             _take(conn)
             if k % 2 == 0:
                 conn.receive_bytes(protocol.encode_frame(FrameType.FLUSH))
-                _drive(conn)
+                conn.pump()
                 (_, reply), = _take(conn)
                 delivered = decode_json(reply)["findings_total"]
         before_close = len(rendered)
         conn.receive_bytes(protocol.encode_frame(FrameType.CLOSE))
-        _drive(conn)
+        conn.pump()
         (ftype, payload), = _take(conn)
     finally:
         router.shutdown()
@@ -591,35 +581,6 @@ def test_report_objects_build_their_dicts_only_when_read(monkeypatch):
     plugin = Report("p", "plugin", "stream", True, [{"k": 1}], {"n": 1})
     assert plugin.findings is None and plugin.violations == [{"k": 1}]
     assert Report("p", "plugin", "stream", True).violations == []
-
-
-# -- process shards -----------------------------------------------------------
-
-
-def test_rows_cross_the_process_pipe():
-    events = list(get_case("raytracer").generate(seed=5, scale=0.02))
-    offline = Session(events, ANALYSES).run().to_json()["analyses"]
-    with Router(shards=1, workers="process") as router:
-        sid = router.open_session(
-            [(name, {}) for name in ANALYSES], session_id="piped"
-        )["session"]
-        shipped: List[str] = []
-        for lo in range(0, len(events), 128):
-            router.feed(sid, events[lo : lo + 128], base=lo)
-            info = router.flush(sid)
-            assert type(info["findings"]) is JSONRows
-            shipped += info["findings"]
-        closed = router.close(sid)
-    assert type(closed["findings"]) is JSONRows
-    shipped += closed["findings"]
-    assert closed["report"]["analyses"] == offline
-    rows = [json.loads(row) for row in shipped]
-    assert len(rows) > 50
-    streamed = {"aerodrome", "races"}
-    assert [row["finding"] for row in rows if row["analysis"] == "races"] == (
-        next(a for a in offline if a["analysis"] == "races")["violations"]
-    )
-    assert {row["analysis"] for row in rows} <= streamed
 
 
 # -- finding objects ----------------------------------------------------------

@@ -1,10 +1,10 @@
 """Shards on the event loop.
 
-The default shard kind runs ``ShardWorker.handle`` inline on the
-calling thread, under one lock per shard: no shard thread, no inbox
-and no wake-up. These tests pin the contract:
+A shard runs each command as a direct call on the calling thread,
+under one lock per shard: no shard thread, no inbox and no wake-up.
+These tests pin the contract:
 
-* a ``Router(workers="thread")`` starts no ``repro-shard-*`` thread;
+* a ``Router`` starts no ``repro-shard-*`` thread;
 * ``feed`` has applied the batch when it returns;
 * sans-IO: an EVENTS frame and a FLUSH frame through one
   ``WireConnection`` are answered by ``pump()`` calls that return
@@ -65,7 +65,7 @@ def _shard_threads():
 
 def test_thread_workers_start_no_shard_thread():
     before = len(_shard_threads())
-    with Router(shards=3, workers="thread") as router:
+    with Router(shards=3) as router:
         router.open_session([("aerodrome", {})], session_id="s")
         assert len(_shard_threads()) == before
         assert router.stats()["shards"][0]["workers"] == "thread"

@@ -4,11 +4,9 @@ The harness takes time and tick order away from the OS (a shared
 :class:`SimClock`, ``manual_ticks``), so the seeded fault plan is the
 only source of nondeterminism — same seed, same fault trace. These
 tests pin that contract, the suspicion score's silence and RTT terms,
-overload shedding, the lenient-restart durability warning, and the
+``BUSY`` pacing, the lenient-restart durability warning, and the
 gossip heal probe that un-sticks a mutually-dead split.
 """
-
-import time
 
 import pytest
 
@@ -19,19 +17,10 @@ from repro.service import ServiceServer
 from repro.service.backoff import Backoff
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.client import submit_trace as node_submit
-from repro.service.router import BusyError, Router
+from repro.service.router import Router
 from repro.sim import trace_zoo
 
 ANALYSES = ["aerodrome", "races", "lockset"]
-
-
-def wait_until(predicate, timeout=15.0, interval=0.05, what="condition"):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return
-        time.sleep(interval)
-    raise AssertionError(f"timed out waiting for {what}")
 
 
 # -- SimClock ----------------------------------------------------------------
@@ -121,55 +110,12 @@ class TestSuspicion:
             router.shutdown()
 
 
-# -- overload shedding -------------------------------------------------------
+# -- BUSY pacing -------------------------------------------------------------
 
 
 class TestShedding:
-    def test_quota_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Router(shards=1, workers="process", tenant_quota=0)
-
-    def test_in_loop_shards_take_no_inbox_bounds(self):
-        # An in-loop shard has no inbox: a quota or an inbox bound
-        # could never act, so the router refuses them.
-        with pytest.raises(ValueError):
-            Router(shards=1, tenant_quota=1)
-        with pytest.raises(ValueError):
-            Router(shards=1, queue_size=8)
-
-    def test_over_quota_feed_is_shed_with_a_pacing_hint(self):
-        router = Router(shards=1, workers="process", tenant_quota=1)
-        try:
-            router.open_session([("races", {})], session_id="tenant-1")
-            with router._inflight_lock:
-                router._inflight["tenant-1"] = 1  # a backed-up tenant
-            with pytest.raises(BusyError) as excinfo:
-                router.feed("tenant-1", [])
-            assert excinfo.value.shed is True
-            assert excinfo.value.retry_ms >= 25
-            assert router.shed_total == 1
-            # Another tenant on the same shard is untouched.
-            router.open_session([("races", {})], session_id="tenant-2")
-            events = list(trace_zoo.get("paper-rho1").trace())[:4]
-            assert router.feed("tenant-2", events) == len(events)
-        finally:
-            with router._inflight_lock:
-                router._inflight.pop("tenant-1", None)
-            router.shutdown()
-
-    def test_quota_slots_release_after_processing(self):
-        router = Router(shards=1, workers="process", tenant_quota=2)
-        try:
-            router.open_session([("races", {})], session_id="tenant-1")
-            events = list(trace_zoo.get("paper-rho1").trace())[:4]
-            router.feed("tenant-1", events)
-            wait_until(
-                lambda: not router._inflight,
-                what="the processed batch to release its quota slot",
-            )
-            assert router.shed_total == 0
-        finally:
-            router.shutdown()
+    """A client paces its retries after ``BUSY`` by the reply's
+    ``retry_ms`` hint."""
 
     def test_paced_backoff_honors_the_server_hint(self):
         backoff = Backoff(initial=0.01, seed=1)

@@ -11,14 +11,9 @@ extension of the checkpoint-equivalence property in
 """
 
 import json
-import os
 import random
-import signal
 import socket
 import struct
-import subprocess
-import sys
-import time
 import zlib
 from pathlib import Path
 
@@ -27,7 +22,6 @@ import pytest
 from repro.api import Session, validate_report
 from repro.core.snapshot import CheckpointError
 from repro.service import (
-    BusyError,
     RemoteChecker,
     Router,
     ServiceClient,
@@ -171,19 +165,6 @@ class TestRouter:
                 router.shard_of(s) == router.shard_of(s) for s in ids
             )
 
-    def test_full_inbox_raises_busy(self):
-        # Process shards are the kind with an inbox; in-loop shards
-        # apply each batch before feed returns and never queue.
-        with Router(shards=1, workers="process", queue_size=2) as router:
-            info = router.open_session([("aerodrome", {})])
-            sid = info["session"]
-            spec = trace_zoo.get("paper-rho1")
-            events = list(spec.trace())
-            # swamp the queue faster than the shard can drain: big burst
-            with pytest.raises(BusyError):
-                for _ in range(10_000):
-                    router.feed(sid, events)
-
     def test_unknown_session(self):
         with Router() as router:
             with pytest.raises(SessionNotFound):
@@ -220,11 +201,10 @@ class TestRouter:
             info = router.open_session([("aerodrome", {})])
             assert router.flush(info["session"])["position"] == 0
 
-    @pytest.mark.parametrize("workers", ["thread", "process"])
-    def test_worker_modes_agree(self, workers):
+    def test_batched_feed_agrees_with_offline(self):
         spec = trace_zoo.get("three-party-cycle")
         base = offline_doc(spec.trace(), name=spec.name)
-        with Router(shards=2, workers=workers) as router:
+        with Router(shards=2) as router:
             info = router.open_session(
                 [(n, {}) for n in ANALYSES], name=spec.name
             )
@@ -630,76 +610,3 @@ class TestRecovery:
         manager.path_for("a/b").rename(manager.path_for("a_b"))
         with pytest.raises(RecoveryError, match="belongs to session 'a/b'"):
             manager.load("a_b")
-
-
-# -- process shards die with their server ------------------------------------
-
-
-def _proc_stat(pid):
-    """``/proc/<pid>/stat`` fields after the command name, or None."""
-    try:
-        stat = Path(f"/proc/{pid}/stat").read_text()
-    except OSError:
-        return None
-    return stat.rsplit(")", 1)[1].split()  # the name may hold spaces
-
-
-def _children(pid):
-    kids = []
-    for entry in os.listdir("/proc"):
-        if entry.isdigit():
-            fields = _proc_stat(entry)
-            if fields is not None and int(fields[1]) == pid:
-                kids.append(int(entry))
-    return kids
-
-
-def _gone_or_zombie(pid):
-    fields = _proc_stat(pid)
-    return fields is None or fields[0] == "Z"
-
-
-@pytest.mark.skipif(
-    not Path("/proc/self/stat").exists(), reason="needs Linux /proc"
-)
-def test_process_shards_exit_when_the_server_is_killed(tmp_path):
-    """A SIGKILLed server never sends its shards ``stop``: each process
-    shard must notice its parent is gone and exit on its own."""
-    ready = tmp_path / "ready.txt"
-    root = Path(__file__).resolve().parent.parent
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-            "--workers", "process", "--shards", "2",
-            "--spool", str(tmp_path / "spool"),
-            "--ready-file", str(ready),
-        ],
-        cwd=str(root),
-        env=dict(os.environ, PYTHONPATH=str(root / "src")),
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
-    shards = []
-    try:
-        deadline = time.monotonic() + 30.0
-        while not ready.exists():
-            assert proc.poll() is None, "server exited before it was ready"
-            assert time.monotonic() < deadline, "server never became ready"
-            time.sleep(0.05)
-        shards = _children(proc.pid)
-        assert len(shards) >= 2, shards
-        proc.send_signal(signal.SIGKILL)
-        proc.wait(timeout=10)
-        deadline = time.monotonic() + 10.0
-        while not all(_gone_or_zombie(pid) for pid in shards):
-            assert time.monotonic() < deadline, (
-                f"shard processes outlived the killed server: {shards}"
-            )
-            time.sleep(0.1)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait(timeout=10)
-        for pid in shards:
-            if not _gone_or_zombie(pid):
-                os.kill(pid, signal.SIGKILL)

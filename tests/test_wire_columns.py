@@ -245,13 +245,12 @@ def _send(handle, events, start, size):
         handle.send(events[lo : lo + size])
 
 
-@pytest.mark.parametrize("workers", ["thread", "process"])
-def test_fresh_encoder_resume_on_a_live_session(events, workers):
+def test_fresh_encoder_resume_on_a_live_session(events):
     """A client reconnects and resumes a session still live on its
     shard: its fresh encoder restarts the name-table epoch, and the
     session maps the new indices onto the names it holds."""
     half = len(events) // 2
-    with ServiceServer(shards=2, workers=workers).start() as srv:
+    with ServiceServer(shards=2).start() as srv:
         with ServiceClient(srv.host, srv.port) as client:
             handle = client.open_session(ANALYSES, session_id="live-resume")
             _send(handle, events[:half], 0, 64)
@@ -280,15 +279,6 @@ def test_fresh_encoder_resume_on_a_thawed_session(tmp_path, events):
                            session_id="thawed", resume=True)
     assert doc["service"]["resumed"]
     assert doc["analyses"] == _offline(events)
-
-
-def _drive(conn):
-    while True:
-        waiting = conn.pump()
-        if not waiting:
-            return
-        for future in waiting:
-            future.join(10.0)
 
 
 def _last_reply(conn):
@@ -321,18 +311,18 @@ def test_busy_resend_after_the_connection_absorbed_the_names(events):
             "protocol": protocol.PROTOCOL, "analyses": ANALYSES,
             "session": "busy",
         }))
-        _drive(conn)
+        conn.pump()
         resent = 0
         for _lo, payload in _frames(events, 64):
             frame = protocol.encode_frame(FrameType.EVENTS, payload)
             while True:
                 conn.receive_bytes(frame)
-                _drive(conn)
+                conn.pump()
                 if _last_reply(conn)[0] != FrameType.BUSY:
                     break
                 resent += 1
         conn.receive_bytes(protocol.encode_frame(FrameType.CLOSE))
-        _drive(conn)
+        conn.pump()
         ftype, info = _last_reply(conn)
     finally:
         router.shutdown()
@@ -367,11 +357,11 @@ def _cli(*args, **kwargs):
     )
 
 
-def _serve(tmp_path, workers, tag):
+def _serve(tmp_path, tag):
     ready = tmp_path / f"ready-{tag}"
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-         "--workers", workers, "--spool", str(tmp_path / "spool"),
+         "--spool", str(tmp_path / "spool"),
          "--checkpoint-every", "100", "--ready-file", str(ready)],
         cwd=str(ROOT), env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
@@ -384,15 +374,14 @@ def _serve(tmp_path, workers, tag):
     return proc, ready.read_text().split()[1]
 
 
-@pytest.mark.parametrize("workers", ["thread", "process"])
-def test_kill9_spool_drill(tmp_path, workers):
+def test_kill9_spool_drill(tmp_path):
     """Stream part of a trace, checkpoint, kill -9 the server, restart
     it on the spool and resume: the report equals ``repro check``."""
     trace = tmp_path / "t.std"
     assert _cli("generate", "raytracer", "-o", str(trace), "--scale",
                 "0.02").returncode == 0
     names = ",".join(ANALYSES)
-    proc, port = _serve(tmp_path, workers, "a")
+    proc, port = _serve(tmp_path, "a")
     try:
         part = _cli("submit", str(trace), "--analysis", names, "--port",
                     port, "--session-id", "drill", "--batch", "64",
@@ -401,7 +390,7 @@ def test_kill9_spool_drill(tmp_path, workers):
     finally:
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=10)
-    proc, port = _serve(tmp_path, workers, "b")
+    proc, port = _serve(tmp_path, "b")
     try:
         done = _cli("submit", str(trace), "--analysis", names, "--port",
                     port, "--session-id", "drill", "--batch", "64",
